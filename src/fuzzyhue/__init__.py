@@ -3,7 +3,8 @@
 Reconstructs circular trapezoidal membership functions from published
 category-boundary constants, measures category extent (wideness) and
 transition-zone extent (boundary width), classifies colors and images into
-fuzzy color descriptors, and renders the partition as SVG figures.
+fuzzy color descriptors, checks the partition invariants exactly, and
+renders the partition as SVG figures.
 """
 
 from .circle import PERIOD, Arc, wrap
@@ -34,8 +35,10 @@ from .metrics import (
     AdjacencyError,
     AsymmetryReport,
     CategoryMetrics,
+    Check,
     asymmetry_report,
     boundary_width,
+    check,
     metrics_table,
     wideness,
     wideness_numeric,
@@ -63,6 +66,7 @@ __all__ = [
     "BoundaryOrderError",
     "BoundarySpec",
     "CategoryMetrics",
+    "Check",
     "CircularTrapezoid",
     "ConfigError",
     "FuzzyColorDescriptor",
@@ -79,6 +83,7 @@ __all__ = [
     "asymmetry_report",
     "boundary_width",
     "builtin_colibri",
+    "check",
     "classify_color",
     "cli_main",
     "dominant_labels",

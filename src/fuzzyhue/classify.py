@@ -32,12 +32,22 @@ class AchromaticGate:
 
     Colors with saturation below ``s_min``, value below ``v_min``, or value
     above ``v_max`` get all their mass on the achromatic label. The default
-    ``v_max`` of 1.0 leaves white ungated.
+    ``v_max`` of 1.0 leaves white ungated. Every threshold lies in [0, 1]
+    and ``v_min <= v_max``; anything else (NaN included) raises ValueError.
     """
 
     s_min: float = 0.15
     v_min: float = 0.10
     v_max: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("s_min", "v_min", "v_max"):
+            value = getattr(self, name)
+            # NaN fails the comparison, so it cannot switch a gate off.
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        if self.v_min > self.v_max:
+            raise ValueError(f"v_min {self.v_min!r} exceeds v_max {self.v_max!r}")
 
 
 DEFAULT_GATE = AchromaticGate()

@@ -29,12 +29,20 @@ from .formats import (
     load_partition,
     read_image,
 )
-from .metrics import asymmetry_report, metrics_table, wideness
+from .metrics import asymmetry_report, check, metrics_table, wideness
 from .partition import HuePartition, PartitionError, builtin_colibri
 from .render import PlotConfig, render_memberships, render_spectrum
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+# How validate words the worst value of each check.
+_VALIDATE_DETAILS = {
+    "memberships-sum-to-one": "max deviation {:.3g}",
+    "at-most-two-nonzero": "max simultaneous memberships {}",
+    "half-cuts-tile-circle": "sum {!r}",
+    "boundaries-round-trip": "max error {:.3g}",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,6 +66,29 @@ def _rgb_triple(text: str) -> tuple[int, int, int]:
     return r, g, b
 
 
+def _in_range(cast, low: float, high: float, *, open_low: bool = False):
+    """argparse type: ``cast(text)`` within [low, high], or (low, high] if ``open_low``.
+
+    NaN fails both comparisons, so it is refused like any other outlier.
+    """
+
+    def parse(text: str):
+        value = cast(text)
+        above_low = low < value if open_low else low <= value
+        if not (above_low and value <= high):
+            interval = f"{'(' if open_low else '['}{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be in {interval}, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_alpha = _in_range(float, 0, 1, open_low=True)
+_threshold = _in_range(float, 0, 1)
+
+
 def _add_model_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", metavar="FILE", help="partition config JSON (default: builtin)")
 
@@ -74,7 +105,7 @@ def build_parser() -> _Parser:
 
     p_metrics = sub.add_parser("metrics", help="print the wideness / boundary-width table")
     _add_model_flag(p_metrics)
-    p_metrics.add_argument("--alpha", type=float, default=0.5, help="cut level (default 0.5)")
+    p_metrics.add_argument("--alpha", type=_alpha, default=0.5, help="cut level (default 0.5)")
     p_metrics.add_argument("--format", choices=("table", "csv"), default="table")
     p_metrics.set_defaults(func=_cmd_metrics)
 
@@ -87,17 +118,19 @@ def build_parser() -> _Parser:
 
     p_label = sub.add_parser("label", help="dominant fuzzy color labels of an image")
     p_label.add_argument("image", metavar="IMAGE", help="PPM image path")
-    p_label.add_argument("--top-k", type=int, default=3, help="number of labels (default 3)")
+    p_label.add_argument(
+        "--top-k", type=_in_range(int, 1, 10), default=3, help="number of labels, 1-10 (default 3)"
+    )
     _add_model_flag(p_label)
-    p_label.add_argument("--s-min", type=float, default=0.15, help="chromatic saturation floor")
-    p_label.add_argument("--v-min", type=float, default=0.10, help="chromatic value floor")
+    p_label.add_argument("--s-min", type=_threshold, default=0.15, help="chromatic saturation floor")
+    p_label.add_argument("--v-min", type=_threshold, default=0.10, help="chromatic value floor")
     p_label.set_defaults(func=_cmd_label)
 
     p_plot = sub.add_parser("plot", help="write an SVG figure")
     p_plot.add_argument("kind", choices=("memberships", "spectrum"))
     p_plot.add_argument("--out", required=True, metavar="FILE.svg")
     _add_model_flag(p_plot)
-    p_plot.add_argument("--alpha", type=float, default=0.5, help="alpha-cut line level")
+    p_plot.add_argument("--alpha", type=_alpha, default=0.5, help="alpha-cut line level")
     p_plot.set_defaults(func=_cmd_plot)
 
     p_validate = sub.add_parser("validate", help="check all partition invariants")
@@ -172,55 +205,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    partition = _load_model(args)
-    failures = 0
-    grid_step = 0.01
-    samples = int(round(360.0 / grid_step))
-
-    max_deviation = 0.0
-    max_nonzero = 0
-    for i in range(samples):
-        hue = i * grid_step
-        values = [t.membership(hue) for t in partition.sets]
-        max_deviation = max(max_deviation, abs(sum(values) - 1.0))
-        max_nonzero = max(max_nonzero, sum(1 for v in values if v > 0.0))
-    failures += _check(
-        "memberships-sum-to-one", max_deviation < 1e-9, f"max deviation {max_deviation:.3g}"
-    )
-    failures += _check(
-        "at-most-two-nonzero", max_nonzero <= 2, f"max simultaneous memberships {max_nonzero}"
-    )
-
-    total = sum(wideness(partition, name) for name in partition.names)
-    failures += _check(
-        "half-cuts-tile-circle", abs(total - 360.0) < 1e-9, f"sum {total!r}"
-    )
-
-    rows = metrics_table(partition)
-    roundtrip_error = 0.0
-    for k, row in enumerate(rows):
-        boundary = partition.boundaries[k]
-        left = partition.boundaries[k - 1]
-        roundtrip_error = max(
-            roundtrip_error,
-            _circular_distance(row.wideness_range.start, left.position),
-            _circular_distance(row.wideness_range.end, boundary.position),
-            abs(row.right_boundary_width - boundary.width),
-        )
-    failures += _check(
-        "boundaries-round-trip", roundtrip_error < 1e-9, f"max error {roundtrip_error:.3g}"
-    )
-    return 0 if failures == 0 else DATA_ERROR
-
-
-def _circular_distance(a: float, b: float) -> float:
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
-
-
-def _check(name: str, ok: bool, detail: str) -> int:
-    print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
-    return 0 if ok else 1
+    results = check(_load_model(args))
+    for result in results:
+        detail = _VALIDATE_DETAILS[result.name].format(result.worst)
+        if result.hue is not None and result.worst:
+            detail += f" at hue {format_number(result.hue)}"
+        print(f"{'PASS' if result.ok else 'FAIL'} {result.name} ({detail})")
+    return 0 if all(result.ok for result in results) else DATA_ERROR
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

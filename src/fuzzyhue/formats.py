@@ -7,7 +7,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .metrics import CategoryMetrics
 from .partition import BoundarySpec, HuePartition, from_boundaries
@@ -56,17 +56,23 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def load_partition(text: str) -> HuePartition:
     """Parse a partition config document.
 
     The document is flat JSON: a period of 360, the category names in ring
     order, and one (position, width) boundary per adjacent pair, ascending,
     with boundary k separating category k from k+1 (the last wraps back to
-    the first). Schema violations name the offending field; reconstruction
-    errors (overlapping transition zones) name the category.
+    the first). Schema violations raise ConfigError naming the offending
+    field, and so do the non-finite tokens ``NaN``, ``Infinity`` and
+    ``-Infinity``; reconstruction errors (overlapping transition zones)
+    raise PartitionError naming the category.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -109,7 +115,7 @@ def load_partition(text: str) -> HuePartition:
             0 <= position < 360,
             f"boundaries[{i}].position must lie in [0, 360), got {position}",
         )
-        _require(width > 0, f"boundaries[{i}].width must be > 0, got {width}")
+        _require(0 < width < 360, f"boundaries[{i}].width must lie in (0, 360), got {width}")
         _require(
             previous is None or position > previous,
             f"boundaries[{i}].position must be strictly ascending, got {position} after {previous}",

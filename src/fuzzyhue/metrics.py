@@ -6,14 +6,23 @@ and the *boundary width* shared with each ring neighbor, the measure of the
 overlap of their supports. Wideness has both a closed-form evaluator and an
 indicator-integral one; the integral form needs no special casing for
 categories split by the 0/360 seam, which is exactly why it exists.
+
+:func:`check` verifies the partition invariants these measurements rest on.
+It lives here rather than in ``partition`` because the round-trip check
+compares :func:`metrics_table` against the boundaries, and this module
+already imports ``partition``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .circle import PERIOD, Arc
+from .circle import PERIOD, Arc, wrap
 from .partition import HuePartition
+
+# Absolute tolerance of the invariant checks.
+_CHECK_TOL = 1e-9
 
 
 class AdjacencyError(ValueError):
@@ -140,3 +149,77 @@ def asymmetry_report(partition: HuePartition) -> AsymmetryReport:
         ratio=ratio,
         per_category=tuple(rows),
     )
+
+
+@dataclass(frozen=True)
+class Check:
+    """Outcome of one partition invariant check.
+
+    ``worst`` is the checked quantity at its worst point and ``hue`` is
+    where that point lies, or None when the quantity is a whole-ring total.
+    """
+
+    name: str
+    ok: bool
+    worst: float
+    hue: float | None
+
+
+def _circular_distance(a: float, b: float) -> float:
+    d = abs(a - b) % PERIOD
+    return min(d, PERIOD - d)
+
+
+def check(partition: HuePartition) -> list[Check]:
+    """Exact checks of the partition invariants, in this order:
+
+    - ``memberships-sum-to-one``: worst ``|sum - 1|`` of all memberships;
+    - ``at-most-two-nonzero``: most memberships nonzero at one hue, where
+      values within the tolerance of zero count as zero (where zones touch,
+      rounding can leave a third membership of about 1e-16);
+    - ``half-cuts-tile-circle``: sum of the alpha = 0.5 widenesses, which
+      must be 360 (no hue);
+    - ``boundaries-round-trip``: worst disagreement of :func:`metrics_table`
+      with the boundaries (cut endpoints against positions, zone measure
+      against width), at the boundary position concerned.
+
+    Every membership is linear between adjacent knots of the union of all
+    trapezoid knots. So the sum is one everywhere if and only if it is one
+    at every knot, and the count of nonzero memberships is constant on each
+    open interval between knots. Evaluating at the knots plus one midpoint
+    per interval (the last one wrapping through 0) settles both exactly.
+    When several hues share the worst value, the first in knot order is
+    reported.
+    """
+    knots = sorted({knot for t in partition.sets for knot in (t.a, t.b, t.c, t.d)})
+    hues = []
+    for lo, hi in zip(knots, knots[1:] + knots[:1]):
+        hues.append(lo)
+        hues.append(wrap(lo + ((hi - lo) % PERIOD) / 2.0))
+    profile = [(hue, [t.membership(hue) for t in partition.sets]) for hue in hues]
+    sum_hue, deviation = max(
+        ((hue, abs(sum(values) - 1.0)) for hue, values in profile), key=itemgetter(1)
+    )
+    count_hue, nonzero = max(
+        ((hue, sum(1 for v in values if v > _CHECK_TOL)) for hue, values in profile),
+        key=itemgetter(1),
+    )
+
+    rows = metrics_table(partition)
+    total = sum(row.wideness for row in rows)
+    errors = []
+    for k, row in enumerate(rows):
+        left, right = partition.boundaries[k - 1], partition.boundaries[k]
+        errors += [
+            (left.position, _circular_distance(row.wideness_range.start, left.position)),
+            (right.position, _circular_distance(row.wideness_range.end, right.position)),
+            (right.position, abs(row.right_boundary_width - right.width)),
+        ]
+    trip_hue, trip_error = max(errors, key=itemgetter(1))
+
+    return [
+        Check("memberships-sum-to-one", deviation < _CHECK_TOL, deviation, sum_hue),
+        Check("at-most-two-nonzero", nonzero <= 2, nonzero, count_hue),
+        Check("half-cuts-tile-circle", abs(total - PERIOD) < _CHECK_TOL, total, None),
+        Check("boundaries-round-trip", trip_error < _CHECK_TOL, trip_error, trip_hue),
+    ]

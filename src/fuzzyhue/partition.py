@@ -191,7 +191,12 @@ def from_boundaries(
         b = wrap(left.position + left.width / 2.0)
         c = b if core < 0.0 else wrap(right.position - right.width / 2.0)
         d = wrap(right.position + right.width / 2.0)
-        sets.append(CircularTrapezoid(a, b, c, d))
+        try:
+            sets.append(CircularTrapezoid(a, b, c, d))
+        except ValueError as exc:
+            # A zone narrower than the spacing of floats near its crossing
+            # collapses a shoulder to zero width.
+            raise PartitionError(f"category {name!r}: {exc}") from None
     return HuePartition(names, tuple(sets), boundaries)
 
 

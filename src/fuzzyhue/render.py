@@ -9,7 +9,7 @@ order, so identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .circle import Arc
 from .classify import hsv_to_rgb

@@ -83,6 +83,31 @@ class TestClassifyColor:
         assert classify_color(colibri, (255, 0, 0)).achromatic_mass == 0.0
 
 
+class TestAchromaticGate:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"s_min": float("nan")},
+            {"v_min": float("nan")},
+            {"v_max": float("nan")},
+            {"s_min": -0.1},
+            {"v_min": float("inf")},
+            {"v_max": 1.5},
+        ],
+    )
+    def test_out_of_range_or_nan_refused(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            AchromaticGate(**fields)
+
+    def test_inverted_value_thresholds_refused(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            AchromaticGate(v_min=0.8, v_max=0.2)
+
+    def test_closed_unit_interval_accepted(self):
+        gate = AchromaticGate(s_min=0.0, v_min=1.0, v_max=1.0)
+        assert (gate.s_min, gate.v_min, gate.v_max) == (0.0, 1.0, 1.0)
+
+
 class TestImageDescriptor:
     def test_constant_image(self, colibri):
         d = image_descriptor(colibri, grid_of([GREEN_100] * 100, width=10))

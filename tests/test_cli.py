@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from fuzzyhue import builtin_colibri, dump_partition, export_metrics_csv, metrics_table
+from fuzzyhue import builtin_colibri, cli, dump_partition, export_metrics_csv, metrics_table
 from fuzzyhue.cli import cli_main
 from fuzzyhue.render import PlotConfig, render_memberships, render_spectrum
 from conftest import make_p6
+from test_metrics import narrow_defect
 
 
 def run(capsys, *argv):
@@ -122,6 +123,29 @@ class TestValidateCommand:
         assert code == 2
         assert "error" in err
 
+    def test_builtin_details(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(dump_partition(builtin_colibri()))
+        _, out, _ = run(capsys, "validate", "--model", str(path))
+        assert out == (
+            "PASS memberships-sum-to-one (max deviation 0)\n"
+            "PASS at-most-two-nonzero (max simultaneous memberships 2 at hue 12.5)\n"
+            "PASS half-cuts-tile-circle (sum 360.0)\n"
+            "PASS boundaries-round-trip (max error 0)\n"
+        )
+
+    def test_failure_names_the_hue(self, capsys, monkeypatch, tmp_path):
+        # No config reconstructs to a broken partition, so hand validate one.
+        broken, (low, high) = narrow_defect("hole")
+        monkeypatch.setattr(cli, "load_partition", lambda text: broken)
+        path = tmp_path / "model.json"
+        path.write_text("{}")
+        code, out, _ = run(capsys, "validate", "--model", str(path))
+        assert code == 2
+        first = out.splitlines()[0]
+        assert first.startswith("FAIL memberships-sum-to-one (max deviation 1 at hue ")
+        assert low < float(first.rsplit(" ", 1)[1].rstrip(")")) < high
+
     def test_model_flag_required(self, capsys):
         code, _, _ = run(capsys, "validate")
         assert code == 1
@@ -149,6 +173,37 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--model", str(path))
         assert code == 0
         assert "ratio: 1" in out
+
+
+class TestArgumentDomains:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("label", "img.ppm", "--s-min", "nan"),
+            ("label", "img.ppm", "--v-min", "nan"),
+            ("label", "img.ppm", "--s-min", "1.5"),
+            ("label", "img.ppm", "--top-k", "0"),
+            ("label", "img.ppm", "--top-k", "11"),
+            ("metrics", "--alpha", "0"),
+            ("metrics", "--alpha", "1.5"),
+            ("metrics", "--alpha", "nan"),
+            ("plot", "memberships", "--out", "fig.svg", "--alpha", "0"),
+        ],
+    )
+    def test_out_of_domain_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and "must be in" in err
+
+    def test_domain_edges_accepted(self, capsys, tmp_path):
+        path = tmp_path / "green.ppm"
+        path.write_bytes(make_p6(2, 2, [(85, 255, 0)] * 4))
+        code, out, _ = run(
+            capsys, "label", str(path), "--top-k", "10", "--s-min", "0", "--v-min", "1"
+        )
+        assert (code, out) == (0, "green 1.000000\n")
+        code, _, _ = run(capsys, "metrics", "--alpha", "1")
+        assert code == 0
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ from fuzzyhue import (
     ConfigError,
     ImageFormatError,
     InconsistentCoreError,
+    PartitionError,
     PixelGrid,
     UnsupportedImageFormatError,
     builtin_colibri,
@@ -101,6 +102,30 @@ class TestLoadPartition:
         doc = json.loads(GOLDEN_DOC)
         doc["boundaries"][-1]["position"] = 360.0
         with pytest.raises(ConfigError, match=r"\[0, 360\)"):
+            load_partition(json.dumps(doc))
+
+    @pytest.mark.parametrize("width", ["360", "400", "1e400"])
+    def test_width_of_a_full_turn_or_more(self, width):
+        doc = json.loads(GOLDEN_DOC)
+        doc["boundaries"][2]["width"] = 0
+        # 1e400 parses as infinity; json.dumps would write it as a token.
+        text = json.dumps(doc).replace('"width": 0', f'"width": {width}', 1)
+        with pytest.raises(ConfigError, match=r"boundaries\[2\].width"):
+            load_partition(text)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["position", "width"])
+    def test_non_finite_tokens_refused(self, token, field):
+        doc = json.loads(GOLDEN_DOC)
+        doc["boundaries"][1][field] = 0
+        text = json.dumps(doc).replace(f'"{field}": 0', f'"{field}": {token}', 1)
+        with pytest.raises(ConfigError, match=token):
+            load_partition(text)
+
+    def test_sub_ulp_width_is_a_partition_error(self):
+        doc = json.loads(GOLDEN_DOC)
+        doc["boundaries"][4]["width"] = 5e-324
+        with pytest.raises(PartitionError, match="'cyan'"):
             load_partition(json.dumps(doc))
 
     def test_dump_round_trip(self, colibri):

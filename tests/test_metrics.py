@@ -1,17 +1,25 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyhue import (
     RING,
     AdjacencyError,
     BoundarySpec,
+    CircularTrapezoid,
+    HuePartition,
     asymmetry_report,
     boundary_width,
     builtin_colibri,
+    check,
     from_boundaries,
     metrics_table,
     wideness,
     wideness_numeric,
 )
+from conftest import random_boundary_specs
 
 GOLDEN_WIDENESS = {
     "red": 32.0,
@@ -173,3 +181,105 @@ class TestAsymmetryReport:
         report = asymmetry_report(uniform_partition())
         assert report.ratio == 1.0
         assert report.widest == report.narrowest
+
+
+def grid_profile(partition, step=0.01):
+    """Worst |sum - 1| and nonzero count over a uniform hue grid."""
+    worst_sum, worst_count = 0.0, 0
+    for i in range(int(round(360.0 / step))):
+        values = [t.membership(i * step) for t in partition.sets]
+        worst_sum = max(worst_sum, abs(sum(values) - 1.0))
+        worst_count = max(worst_count, sum(1 for v in values if v > 0.0))
+    return worst_sum, worst_count
+
+
+def narrow_defect(kind):
+    """A ring with a defect 0.005 degrees wide inside (100.002, 100.007).
+
+    ``hole``: a falls to 0 at 100.003, b rises only from 100.006. ``spike``:
+    the zone is sound but a third, triangular set peaks at 100.004. No
+    0.01-degree grid point lies inside the defect.
+    """
+    names = ("a", "b")
+    bounds = (BoundarySpec(100.0045, 0.005), BoundarySpec(0.0, 20.0))
+    if kind == "hole":
+        sets = (
+            CircularTrapezoid(350.0, 10.0, 100.002, 100.003),
+            CircularTrapezoid(100.006, 100.007, 350.0, 10.0),
+        )
+    else:
+        sets = (
+            CircularTrapezoid(350.0, 10.0, 100.002, 100.007),
+            CircularTrapezoid(100.002, 100.007, 350.0, 10.0),
+            CircularTrapezoid(100.003, 100.004, 100.004, 100.005),
+        )
+        names += ("spike",)
+        bounds += (BoundarySpec(100.004, 0.002),)
+    return HuePartition(names, sets, bounds), (100.002, 100.007)
+
+
+class TestCheck:
+    def test_builtin_passes_in_validate_order(self, colibri):
+        results = check(colibri)
+        assert [r.name for r in results] == [
+            "memberships-sum-to-one",
+            "at-most-two-nonzero",
+            "half-cuts-tile-circle",
+            "boundaries-round-trip",
+        ]
+        assert all(r.ok for r in results)
+
+    def test_builtin_max_nonzero_is_two(self, colibri):
+        nonzero = check(colibri)[1]
+        assert nonzero.worst == 2
+        assert sum(v > 0.0 for v in colibri.memberships(nonzero.hue).values()) == 2
+
+    def test_tiling_reports_the_total(self, colibri):
+        tiling = check(colibri)[2]
+        assert tiling.worst == 360.0 and tiling.hue is None
+
+    @pytest.mark.parametrize("kind", ["hole", "spike"])
+    def test_defect_between_grid_points(self, kind):
+        partition, (low, high) = narrow_defect(kind)
+        grid_sum, grid_count = grid_profile(partition)
+        assert grid_sum < 1e-9 and grid_count <= 2  # the grid sees nothing
+        sum_check, count_check = check(partition)[:2]
+        assert not sum_check.ok
+        assert low < sum_check.hue < high
+        assert sum_check.worst == pytest.approx(1.0)
+        if kind == "spike":
+            assert not count_check.ok and count_check.worst == 3
+            assert low < count_check.hue < high
+        else:
+            assert count_check.ok
+
+    def test_round_trip_names_the_boundary(self, colibri):
+        moved = colibri.boundaries[3]
+        tampered = HuePartition(
+            colibri.names,
+            colibri.sets,
+            colibri.boundaries[:3]
+            + (BoundarySpec(moved.position, moved.width + 1.0),)
+            + colibri.boundaries[4:],
+        )
+        trip = check(tampered)[3]
+        assert not trip.ok
+        assert trip.worst == pytest.approx(1.0)
+        assert trip.hue == moved.position
+
+    def test_touching_zones_pass(self):
+        # 24.93 - 4.4 rounds to just under 20.53, so the zones overlap by an
+        # ulp and rounding leaves a third membership near 1e-16 at 14.665.
+        specs = [BoundarySpec(4.4, 20.53), BoundarySpec(24.93, 20.53), BoundarySpec(200.0, 10.0)]
+        results = check(from_boundaries(specs, ("a", "b", "c")))
+        assert all(r.ok for r in results), results
+        assert results[1].worst == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
+    def test_random_rings_pass(self, seed, count):
+        specs = random_boundary_specs(random.Random(seed), count)
+        partition = from_boundaries(specs, tuple(f"c{i}" for i in range(count)))
+        results = check(partition)
+        assert all(r.ok for r in results), results
+        assert results[1].worst == 2

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from xml.dom import minidom
 
 import pytest
 
@@ -136,3 +137,16 @@ class TestRenderSpectrum:
 
     def test_byte_determinism(self, colibri):
         assert render_spectrum(colibri) == render_spectrum(colibri)
+
+
+@pytest.mark.parametrize("render", [render_memberships, render_spectrum])
+def test_markup_in_category_names_is_escaped(render):
+    names = ('a"b', "R&D", "<x>")
+    specs = [BoundarySpec(60.0, 10.0), BoundarySpec(180.0, 10.0), BoundarySpec(300.0, 10.0)]
+    svg = render(from_boundaries(specs, names))
+    minidom.parseString(svg)
+    root = ET.fromstring(svg)
+    labels = [el.text for el in root.iter() if el.get("class") in ("category-label", "region-label")]
+    assert labels == list(names)
+    categories = [el.get("data-category") for el in root.iter() if el.get("data-category")]
+    assert categories in ([], list(names))
