@@ -19,7 +19,6 @@ from .classify import (
     image_descriptor,
     rgb_to_hsv,
 )
-from .cli import cli_main
 from .formats import (
     ConfigError,
     ImageFormatError,
@@ -85,7 +84,6 @@ __all__ = [
     "builtin_colibri",
     "check",
     "classify_color",
-    "cli_main",
     "dominant_labels",
     "dump_partition",
     "export_metrics_csv",

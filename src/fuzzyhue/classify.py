@@ -119,15 +119,22 @@ def image_descriptor(
     """
     if not grid.pixels:
         raise ValueError("cannot describe an empty image")
-    counts = Counter(grid.pixels)
+    # Zero terms add nothing to an exactly rounded sum, so only nonzero
+    # masses are kept. Gray mass has its own list: a category may be named
+    # like the achromatic label.
+    terms = {name: [] for name in partition.names}
+    gray = []
+    for rgb, count in Counter(grid.pixels).items():
+        descriptor = classify_color(partition, rgb, gate)
+        for name, mass in descriptor.category_mass.items():
+            if mass:
+                terms[name].append(mass * count)
+        if descriptor.achromatic_mass:
+            gray.append(descriptor.achromatic_mass * count)
     n = len(grid.pixels)
-    weighted = [(classify_color(partition, rgb, gate), count) for rgb, count in counts.items()]
-    masses = {
-        name: fsum(d.category_mass[name] * count for d, count in weighted) / n
-        for name in partition.names
-    }
-    achromatic = fsum(d.achromatic_mass * count for d, count in weighted) / n
-    return FuzzyColorDescriptor(masses, achromatic)
+    return FuzzyColorDescriptor(
+        {name: fsum(masses) / n for name, masses in terms.items()}, fsum(gray) / n
+    )
 
 
 def dominant_labels(descriptor: FuzzyColorDescriptor, k: int = 3) -> list[tuple[str, float]]:

@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -66,8 +67,10 @@ def _rgb_triple(text: str) -> tuple[int, int, int]:
     return r, g, b
 
 
-def _in_range(cast, low: float, high: float, *, open_low: bool = False):
-    """argparse type: ``cast(text)`` within [low, high], or (low, high] if ``open_low``.
+def _in_range(
+    cast, low: float, high: float, *, open_low: bool = False, open_high: bool = False
+):
+    """argparse type: ``cast(text)`` within [low, high], each end open if asked.
 
     NaN fails both comparisons, so it is refused like any other outlier.
     """
@@ -75,8 +78,9 @@ def _in_range(cast, low: float, high: float, *, open_low: bool = False):
     def parse(text: str):
         value = cast(text)
         above_low = low < value if open_low else low <= value
-        if not (above_low and value <= high):
-            interval = f"{'(' if open_low else '['}{low}, {high}]"
+        below_high = value < high if open_high else value <= high
+        if not (above_low and below_high):
+            interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
             raise argparse.ArgumentTypeError(f"must be in {interval}, got {text!r}")
         return value
 
@@ -87,6 +91,7 @@ def _in_range(cast, low: float, high: float, *, open_low: bool = False):
 
 _alpha = _in_range(float, 0, 1, open_low=True)
 _threshold = _in_range(float, 0, 1)
+_finite = _in_range(float, -math.inf, math.inf, open_low=True, open_high=True)
 
 
 def _add_model_flag(parser: argparse.ArgumentParser) -> None:
@@ -111,7 +116,7 @@ def build_parser() -> _Parser:
 
     p_classify = sub.add_parser("classify", help="fuzzy memberships of a single color")
     color = p_classify.add_mutually_exclusive_group(required=True)
-    color.add_argument("--hue", type=float, help="hue in degrees")
+    color.add_argument("--hue", type=_finite, help="hue in degrees")
     color.add_argument("--rgb", type=_rgb_triple, metavar="R,G,B", help="8-bit RGB color")
     _add_model_flag(p_classify)
     p_classify.set_defaults(func=_cmd_classify)

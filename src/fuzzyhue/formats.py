@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -163,46 +164,13 @@ def export_metrics_csv(rows: Sequence[CategoryMetrics]) -> str:
     return buffer.getvalue()
 
 
-class _TokenScanner:
-    """Whitespace/comment-aware scanner for PPM headers and ASCII rasters."""
-
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
-
-    def skip_separators(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            byte = self.data[self.pos]
-            if byte in b" \t\r\n\x0b\x0c":
-                self.pos += 1
-            elif byte in b"#":
-                while self.pos < n and data[self.pos] not in b"\n":
-                    self.pos += 1
-            else:
-                return
-
-    def next_int(self, what: str) -> int:
-        self.skip_separators()
-        begin = self.pos
-        n = len(self.data)
-        while self.pos < n and self.data[self.pos : self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == begin:
-            raise ImageFormatError(f"malformed PPM header: expected {what}")
-        return int(self.data[begin : self.pos])
-
-
-def _read_ppm_header(data: bytes) -> tuple[int, int, int]:
-    scanner = _TokenScanner(data, 2)
-    width = scanner.next_int("width")
-    height = scanner.next_int("height")
-    maxval = scanner.next_int("maxval")
-    if width <= 0 or height <= 0:
-        raise ImageFormatError(f"invalid PPM dimensions {width}x{height}")
-    if maxval != 255:
-        raise UnsupportedImageFormatError(f"only maxval 255 is supported, got {maxval}")
-    return width, height, scanner.pos
+# The magic, then width, height and maxval, each after any mix of whitespace
+# and comments. The lookaheads stop backtracking from splitting a digit run
+# or ending a comment before its newline. In a bytes pattern ``\s`` is
+# exactly the six netpbm separator bytes.
+_PPM_HEADER = re.compile(rb"(P[36])" + rb"(?:\s|#[^\n]*(?![^\n]))*(\d+)(?!\d)" * 3)
+_PPM_COMMENT = re.compile(rb"#[^\n]*")
+_LEADING_DIGITS = re.compile(rb"\d*")
 
 
 def read_image(path: str | Path) -> PixelGrid:
@@ -213,41 +181,45 @@ def read_image(path: str | Path) -> PixelGrid:
     UnsupportedImageFormatError for anything that is not a 8-bit PPM.
     """
     data = Path(path).read_bytes()
-    magic = bytes(data[:2])
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        if data[:2] in (b"P3", b"P6"):
+            raise ImageFormatError("malformed PPM header: expected width, height and maxval")
+        raise UnsupportedImageFormatError(
+            f"unsupported image format (magic {data[:2]!r}); expected PPM P6 or P3"
+        )
+    magic, width, height, maxval = header.groups()
+    width, height, maxval = int(width), int(height), int(maxval)
+    if width <= 0 or height <= 0:
+        raise ImageFormatError(f"invalid PPM dimensions {width}x{height}")
+    if maxval != 255:
+        raise UnsupportedImageFormatError(f"only maxval 255 is supported, got {maxval}")
+    count = 3 * width * height
+    pos = header.end()
     if magic == b"P6":
-        width, height, pos = _read_ppm_header(data)
         # Exactly one whitespace byte separates the header from the raster.
         if pos >= len(data) or data[pos] not in b" \t\r\n":
             raise ImageFormatError("malformed PPM header: missing raster separator")
-        raster = data[pos + 1 : pos + 1 + 3 * width * height]
-        if len(raster) < 3 * width * height:
+        samples = data[pos + 1 : pos + 1 + count]
+        if len(samples) < count:
             raise ImageFormatError(
-                f"truncated P6 pixel data: expected {3 * width * height} bytes, "
-                f"got {len(raster)}"
+                f"truncated P6 pixel data: expected {count} bytes, got {len(samples)}"
             )
-        pixels = tuple(
-            (raster[i], raster[i + 1], raster[i + 2]) for i in range(0, len(raster), 3)
-        )
-        return PixelGrid(width, height, pixels)
-    if magic == b"P3":
-        width, height, pos = _read_ppm_header(data)
-        scanner = _TokenScanner(data, pos)
-        values = []
-        for index in range(3 * width * height):
-            try:
-                value = scanner.next_int(f"sample {index}")
-            except ImageFormatError:
-                raise ImageFormatError(
-                    f"truncated P3 pixel data: expected {3 * width * height} samples, "
-                    f"got {index}"
-                ) from None
-            if value > 255:
-                raise ImageFormatError(f"P3 sample {index} out of range: {value}")
-            values.append(value)
-        pixels = tuple(
-            (values[i], values[i + 1], values[i + 2]) for i in range(0, len(values), 3)
-        )
-        return PixelGrid(width, height, pixels)
-    raise UnsupportedImageFormatError(
-        f"unsupported image format (magic {magic!r}); expected PPM P6 or P3"
-    )
+    else:
+        tokens = _PPM_COMMENT.sub(b"", data[pos:]).split(None, count)[:count]
+        if tokens:
+            # A sample ends at its last digit; nothing after the last one is read.
+            tokens[-1] = _LEADING_DIGITS.match(tokens[-1]).group()
+        samples = []
+        for index, token in enumerate(tokens):
+            if not token.isdigit():
+                break
+            samples.append(int(token))
+            if samples[-1] > 255:
+                raise ImageFormatError(f"P3 sample {index} out of range: {samples[-1]}")
+        if len(samples) < count:
+            raise ImageFormatError(
+                f"truncated P3 pixel data: expected {count} samples, got {len(samples)}"
+            )
+    it = iter(samples)
+    return PixelGrid(width, height, tuple(zip(it, it, it)))

@@ -27,7 +27,8 @@ class PlotConfig:
     show_labels: bool = True
 
     def __post_init__(self) -> None:
-        if self.width_px < 200 or self.height_px < 100:
+        # Written so that NaN fails it.
+        if not (self.width_px >= 200 and self.height_px >= 100):
             raise ValueError("plot must be at least 200x100 px")
         if not 0.0 < self.sample_step <= 5.0:
             raise ValueError(f"sample_step must be in (0, 5], got {self.sample_step!r}")

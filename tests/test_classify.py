@@ -1,18 +1,23 @@
 import random
+from collections import Counter
+from math import fsum
 
 import pytest
 
 from fuzzyhue import (
     ACHROMATIC,
     AchromaticGate,
+    BoundarySpec,
     PixelGrid,
     classify_color,
     dominant_labels,
+    from_boundaries,
     hsv_to_rgb,
     image_descriptor,
     rgb_to_hsv,
 )
 from fuzzyhue.classify import FuzzyColorDescriptor
+from conftest import random_boundary_specs
 
 # 8-bit colors whose exact hexcone hue is an integer degree value.
 GREEN_100 = (85, 255, 0)  # hue 100 (within float rounding), inside green core
@@ -24,6 +29,24 @@ GRAY = (128, 128, 128)
 def grid_of(pixels, width=None):
     width = width or len(pixels)
     return PixelGrid(width, len(pixels) // width, tuple(pixels))
+
+
+def reference_descriptor(partition, grid, gate):
+    """One fsum pass over every distinct color per category, plus one for gray."""
+    n = len(grid.pixels)
+    weighted = [
+        (classify_color(partition, rgb, gate), count) for rgb, count in Counter(grid.pixels).items()
+    ]
+    masses = {
+        name: fsum(d.category_mass[name] * count for d, count in weighted) / n
+        for name in partition.names
+    }
+    achromatic = fsum(d.achromatic_mass * count for d, count in weighted) / n
+    return FuzzyColorDescriptor(masses, achromatic)
+
+
+def bits(descriptor):
+    return [(label, mass.hex()) for label, mass in descriptor.labeled_masses()]
 
 
 class TestRgbToHsv:
@@ -181,6 +204,32 @@ class TestImageDescriptor:
             mixed = (da.category_mass[name] + db.category_mass[name]) / 2.0
             assert abs(dab.category_mass[name] - mixed) < 1e-9
         assert abs(dab.achromatic_mass - (da.achromatic_mass + db.achromatic_mass) / 2.0) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_equal_to_reference_reduction(self, colibri, seed):
+        rng = random.Random(seed)
+        if seed % 2:
+            count = rng.randint(2, 16)
+            partition = from_boundaries(
+                random_boundary_specs(rng, count), [f"c{i}" for i in range(count)]
+            )
+        else:
+            partition = colibri
+        pixels = [(rng.randrange(256), rng.randrange(256), rng.randrange(256)) for _ in range(2000)]
+        pixels += [(v, v, v) for v in rng.choices(range(256), k=200)]
+        pixels += rng.choices(pixels, k=400)
+        grid = grid_of(pixels, width=20)
+        gate = AchromaticGate(s_min=rng.uniform(0.0, 0.5), v_min=rng.uniform(0.0, 0.3))
+        assert bits(image_descriptor(partition, grid, gate)) == bits(
+            reference_descriptor(partition, grid, gate)
+        )
+
+    def test_category_named_achromatic_keeps_its_own_mass(self):
+        specs = [BoundarySpec(60.0, 10.0), BoundarySpec(180.0, 10.0), BoundarySpec(300.0, 10.0)]
+        ring = from_boundaries(specs, ("warm", ACHROMATIC, "cool"))
+        d = image_descriptor(ring, grid_of([(0, 255, 0), GRAY]))
+        assert d.category_mass == {"warm": 0.0, ACHROMATIC: 0.5, "cool": 0.0}
+        assert d.achromatic_mass == 0.5
 
 
 class TestDominantLabels:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,8 @@ class TestArgumentDomains:
             ("metrics", "--alpha", "1.5"),
             ("metrics", "--alpha", "nan"),
             ("plot", "memberships", "--out", "fig.svg", "--alpha", "0"),
+            ("classify", "--hue", "nan"),
+            ("classify", "--hue", "inf"),
         ],
     )
     def test_out_of_domain_is_usage_error(self, capsys, argv):
@@ -245,3 +251,13 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+def test_library_import_leaves_the_cli_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, fuzzyhue; print(sorted({'argparse', 'fuzzyhue.cli'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyhue import (
     ConfigError,
@@ -17,6 +21,43 @@ from fuzzyhue import (
     read_image,
 )
 from conftest import make_p6
+
+# Whitespace bytes and comments netpbm allows between header fields (and,
+# in P3, between samples); every run holds at least one of them.
+_separators = st.lists(
+    st.one_of(
+        st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"]),
+        st.binary(max_size=6).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n"),
+    ),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+
+
+@st.composite
+def ppm_files(draw):
+    """(file bytes, pixels) of a small raster written as P6 or P3."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pixels = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 255)] * 3),
+            min_size=width * height,
+            max_size=width * height,
+        )
+    )
+    binary = draw(st.booleans())
+    data = b"P6" if binary else b"P3"
+    for field in (width, height, 255):
+        data += draw(_separators) + str(field).encode()
+    if binary:
+        data += draw(st.sampled_from([b" ", b"\t", b"\r", b"\n"])) + bytes(
+            v for px in pixels for v in px
+        )
+    else:
+        for v in (v for px in pixels for v in px):
+            data += draw(_separators) + str(v).encode()
+    return data, tuple(pixels)
+
 
 GOLDEN_DOC = json.dumps(
     {
@@ -216,6 +257,46 @@ class TestReadImage:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_image(tmp_path / "nope.ppm")
+
+    @settings(max_examples=200, deadline=None)
+    @given(ppm_files())
+    def test_round_trip_with_any_separators(self, case):
+        data, pixels = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "case.ppm"
+            path.write_bytes(data)
+            assert read_image(path).pixels == pixels
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # A digit run glued to the next token is never split.
+            b"P6065535P6\n1 1\n255\n" + bytes(3),
+            # A comment without a newline runs to the end of the file.
+            b"P6\n1 1\n#255 xyz",
+            b"P3 1 1 #255 1 2 3",
+            # The raster separator must be whitespace, not a comment.
+            b"P6\n1 1\n255#c\n" + bytes(3),
+        ],
+    )
+    def test_header_tokens_are_not_split(self, tmp_path, data):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError) as caught:
+            read_image(path)
+        # A split token reads as a maxval other than 255, which is the subclass.
+        assert caught.type is ImageFormatError
+
+    def test_p3_sample_out_of_range(self, tmp_path):
+        path = tmp_path / "hot.ppm"
+        path.write_text("P3\n1 1\n255\n0 256 0\n")
+        with pytest.raises(ImageFormatError, match="out of range"):
+            read_image(path)
+
+    def test_p3_reading_stops_at_the_last_digit(self, tmp_path):
+        path = tmp_path / "tail.ppm"
+        path.write_bytes(b"P3 1 1 255 1#one\n2 3junk")
+        assert read_image(path).pixels == ((1, 2, 3),)
 
 
 class TestPixelGrid:

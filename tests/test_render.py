@@ -38,6 +38,8 @@ class TestPlotConfig:
         [
             {"width_px": 100},
             {"height_px": 50},
+            {"width_px": float("nan")},
+            {"height_px": float("nan")},
             {"sample_step": 0.0},
             {"sample_step": 6.0},
             {"alpha_line": 0.0},
