@@ -22,16 +22,9 @@ from .classify import (
     image_descriptor,
     rgb_to_hsv,
 )
-from .formats import (
-    ConfigError,
-    ImageFormatError,
-    export_metrics_csv,
-    format_number,
-    load_partition,
-    read_image,
-)
+from .formats import export_metrics_csv, format_number, load_partition, read_image
 from .metrics import asymmetry_report, check, metrics_table, wideness
-from .partition import HuePartition, PartitionError, builtin_colibri
+from .partition import HuePartition, builtin_colibri
 from .render import PlotConfig, render_memberships, render_spectrum
 
 USAGE_ERROR = 1
@@ -240,9 +233,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # ConfigError, PartitionError and ImageFormatError are ValueErrors too.
     try:
         return args.func(args)
-    except (ConfigError, PartitionError, ImageFormatError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -6,12 +6,13 @@ import csv
 import io
 import json
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn, Sequence
 
 from .metrics import CategoryMetrics
-from .partition import BoundarySpec, HuePartition, from_boundaries
+from .partition import BoundaryOrderError, BoundarySpec, HuePartition, from_boundaries
 
 CSV_HEADER = (
     "category",
@@ -65,12 +66,13 @@ def load_partition(text: str) -> HuePartition:
     """Parse a partition config document.
 
     The document is flat JSON: a period of 360, the category names in ring
-    order, and one (position, width) boundary per adjacent pair, ascending,
-    with boundary k separating category k from k+1 (the last wraps back to
-    the first). Schema violations raise ConfigError naming the offending
-    field, and so do the non-finite tokens ``NaN``, ``Infinity`` and
-    ``-Infinity``; reconstruction errors (overlapping transition zones)
-    raise PartitionError naming the category.
+    order, and one (position, width) boundary per adjacent pair, ascending
+    around the circle from any start, with boundary k separating category k
+    from k+1 (the last wraps back to the first). Schema violations and
+    positions out of order raise ConfigError naming the offending field, and
+    so do the tokens ``NaN``, ``Infinity`` and ``-Infinity``; reconstruction
+    errors (overlapping transition zones) raise PartitionError naming the
+    category.
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
@@ -99,7 +101,6 @@ def load_partition(text: str) -> HuePartition:
         "must match and be at least 2",
     )
     specs = []
-    previous = None
     for i, entry in enumerate(raw_boundaries):
         _require(isinstance(entry, dict), f"boundaries[{i}] must be an object")
         position = entry.get("position")
@@ -117,13 +118,11 @@ def load_partition(text: str) -> HuePartition:
             f"boundaries[{i}].position must lie in [0, 360), got {position}",
         )
         _require(0 < width < 360, f"boundaries[{i}].width must lie in (0, 360), got {width}")
-        _require(
-            previous is None or position > previous,
-            f"boundaries[{i}].position must be strictly ascending, got {position} after {previous}",
-        )
-        previous = position
         specs.append(BoundarySpec(float(position), float(width)))
-    return from_boundaries(specs, names)
+    try:
+        return from_boundaries(specs, names)
+    except BoundaryOrderError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def dump_partition(partition: HuePartition) -> str:
@@ -173,6 +172,13 @@ _PPM_COMMENT = re.compile(rb"#[^\n]*")
 _LEADING_DIGITS = re.compile(rb"\d*")
 
 
+def _ppm_int(digits: bytes, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise ImageFormatError(f"{what} has too many digits ({len(digits)})") from None
+
+
 def read_image(path: str | Path) -> PixelGrid:
     """Read a PPM image (binary P6; ASCII P3 also accepted).
 
@@ -188,8 +194,8 @@ def read_image(path: str | Path) -> PixelGrid:
         raise UnsupportedImageFormatError(
             f"unsupported image format (magic {data[:2]!r}); expected PPM P6 or P3"
         )
-    magic, width, height, maxval = header.groups()
-    width, height, maxval = int(width), int(height), int(maxval)
+    magic, *fields = header.groups()
+    width, height, maxval = (_ppm_int(field, "PPM header field") for field in fields)
     if width <= 0 or height <= 0:
         raise ImageFormatError(f"invalid PPM dimensions {width}x{height}")
     if maxval != 255:
@@ -206,7 +212,8 @@ def read_image(path: str | Path) -> PixelGrid:
                 f"truncated P6 pixel data: expected {count} bytes, got {len(samples)}"
             )
     else:
-        tokens = _PPM_COMMENT.sub(b"", data[pos:]).split(None, count)[:count]
+        # No file holds more samples than bytes; this also bounds maxsplit.
+        tokens = _PPM_COMMENT.sub(b"", data[pos:]).split(None, min(count, len(data)))[:count]
         if tokens:
             # A sample ends at its last digit; nothing after the last one is read.
             tokens[-1] = _LEADING_DIGITS.match(tokens[-1]).group()
@@ -214,12 +221,12 @@ def read_image(path: str | Path) -> PixelGrid:
         for index, token in enumerate(tokens):
             if not token.isdigit():
                 break
-            samples.append(int(token))
+            samples.append(_ppm_int(token, "P3 sample"))
             if samples[-1] > 255:
                 raise ImageFormatError(f"P3 sample {index} out of range: {samples[-1]}")
         if len(samples) < count:
             raise ImageFormatError(
                 f"truncated P3 pixel data: expected {count} samples, got {len(samples)}"
             )
-    it = iter(samples)
-    return PixelGrid(width, height, tuple(zip(it, it, it)))
+    # iter_unpack knows its length, so the tuple is allocated once, not regrown.
+    return PixelGrid(width, height, tuple(struct.iter_unpack("BBB", bytes(samples))))

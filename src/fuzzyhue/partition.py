@@ -12,9 +12,9 @@ to one across the zone, and every crossing sits exactly at 0.5/0.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .circle import PERIOD, wrap
 from .fuzzyset import CircularTrapezoid
@@ -55,7 +55,7 @@ class PartitionError(ValueError):
 
 
 class BoundaryOrderError(PartitionError):
-    """Boundary positions are not strictly ascending within one period."""
+    """Boundary positions do not ascend around the circle, or two coincide."""
 
 
 class InconsistentCoreError(PartitionError):
@@ -90,15 +90,66 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class HuePartition:
-    """Ordered ring of named categories with their membership functions.
+    """Ordered ring of named categories, built from its boundary list.
 
-    ``boundaries[k]`` separates ``names[k]`` from its ring successor.
-    Immutable after construction; every query is a pure function.
+    ``boundaries[k]`` separates ``names[k]`` from its ring successor, the last
+    wrapping back to the first. Positions ascend around the circle from any
+    start: of the steps from each position to the next, the last to the first
+    included, exactly one descends. Construction validates both fields once
+    and derives ``sets``: the category between boundaries L and R gets the
+    :class:`CircularTrapezoid` with knots ``L.position -/+ L.width/2`` and
+    ``R.position -/+ R.width/2``. Immutable; every query is a pure function.
     """
 
     names: tuple[str, ...]
-    sets: tuple[CircularTrapezoid, ...]
     boundaries: tuple[BoundarySpec, ...]
+    sets: tuple[CircularTrapezoid, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names, boundaries = self.names, self.boundaries
+        n = len(boundaries)
+        if n < 2:
+            raise PartitionError("a partition needs at least 2 categories")
+        if len(names) != n:
+            raise PartitionError(
+                f"got {len(names)} category names but {n} boundaries; counts must match"
+            )
+        if len(set(names)) != n:
+            raise PartitionError("category names must be unique")
+        descents = 0
+        for k in range(n):
+            prev, cur = boundaries[k - 1].position, boundaries[k].position
+            descents += cur < prev
+            if cur == prev or descents > 1:
+                raise BoundaryOrderError(
+                    f"boundaries[{k}].position must be strictly ascending around "
+                    f"the circle, got {cur} after {prev}"
+                )
+
+        sets = []
+        for i, name in enumerate(names):
+            left, right = boundaries[i - 1], boundaries[i]
+            gap = (right.position - left.position) % PERIOD
+            core = gap - (left.width + right.width) / 2.0
+            if core < -_CORE_TOL:
+                raise InconsistentCoreError(name, -core)
+            span = gap + (left.width + right.width) / 2.0
+            if span >= PERIOD:
+                raise PartitionError(
+                    f"support of category {name!r} would cover the whole circle "
+                    f"({span:.6g} degrees)"
+                )
+            a = wrap(left.position - left.width / 2.0)
+            b = wrap(left.position + left.width / 2.0)
+            c = b if core < 0.0 else wrap(right.position - right.width / 2.0)
+            d = wrap(right.position + right.width / 2.0)
+            try:
+                sets.append(CircularTrapezoid(a, b, c, d))
+            except ValueError as exc:
+                # A zone narrower than the spacing of floats near its crossing
+                # collapses a shoulder to zero width.
+                raise PartitionError(f"category {name!r}: {exc}") from None
+        object.__setattr__(self, "sets", tuple(sets))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -135,69 +186,17 @@ class HuePartition:
 
     def rotated(self, delta: float) -> HuePartition:
         """The same partition with every hue shifted by ``delta`` degrees."""
-        return HuePartition(
-            self.names,
-            tuple(t.rotated(delta) for t in self.sets),
-            tuple(BoundarySpec(wrap(b.position + delta), b.width) for b in self.boundaries),
-        )
+        shifted = (BoundarySpec(b.position + delta, b.width) for b in self.boundaries)
+        return from_boundaries(shifted, self.names)
 
 
-def from_boundaries(
-    boundaries: Sequence[BoundarySpec], names: Iterable[str]
-) -> HuePartition:
+def from_boundaries(boundaries: Iterable[BoundarySpec], names: Iterable[str]) -> HuePartition:
     """Reconstruct a partition from its crossing positions and zone widths.
 
-    The category between boundaries L and R gets knots
-    ``(L.position - L.width/2, L.position + L.width/2,
-    R.position - R.width/2, R.position + R.width/2)`` in circular
-    arithmetic: each transition zone extends half its width to either side
-    of the crossing. Boundary positions must be strictly ascending within
-    one period; boundary k separates category k from k+1, with the last
-    boundary wrapping back to the first category.
+    Boundary k separates category k from k+1, the last wrapping back to the
+    first; see :class:`HuePartition` for the order rule and the knots.
     """
-    names = tuple(names)
-    boundaries = tuple(boundaries)
-    n = len(boundaries)
-    if n < 2:
-        raise PartitionError("a partition needs at least 2 categories")
-    if len(names) != n:
-        raise PartitionError(
-            f"got {len(names)} category names but {n} boundaries; counts must match"
-        )
-    if len(set(names)) != n:
-        raise PartitionError("category names must be unique")
-    positions = [b.position for b in boundaries]
-    for prev, cur in zip(positions, positions[1:]):
-        if cur <= prev:
-            raise BoundaryOrderError(
-                f"boundary positions must be strictly ascending, got {cur} after {prev}"
-            )
-
-    sets = []
-    for i, name in enumerate(names):
-        left = boundaries[i - 1]
-        right = boundaries[i]
-        gap = (right.position - left.position) % PERIOD
-        core = gap - (left.width + right.width) / 2.0
-        if core < -_CORE_TOL:
-            raise InconsistentCoreError(name, -core)
-        span = gap + (left.width + right.width) / 2.0
-        if span >= PERIOD:
-            raise PartitionError(
-                f"support of category {name!r} would cover the whole circle "
-                f"({span:.6g} degrees)"
-            )
-        a = wrap(left.position - left.width / 2.0)
-        b = wrap(left.position + left.width / 2.0)
-        c = b if core < 0.0 else wrap(right.position - right.width / 2.0)
-        d = wrap(right.position + right.width / 2.0)
-        try:
-            sets.append(CircularTrapezoid(a, b, c, d))
-        except ValueError as exc:
-            # A zone narrower than the spacing of floats near its crossing
-            # collapses a shoulder to zero width.
-            raise PartitionError(f"category {name!r}: {exc}") from None
-    return HuePartition(names, tuple(sets), boundaries)
+    return HuePartition(tuple(names), tuple(boundaries))
 
 
 @lru_cache(maxsize=1)

@@ -138,6 +138,13 @@ class TestValidateCommand:
             "PASS boundaries-round-trip (max error 0)\n"
         )
 
+    def test_rotated_dump_passes(self, capsys, tmp_path):
+        path = tmp_path / "rotated.json"
+        path.write_text(dump_partition(builtin_colibri().rotated(30.0)))
+        code, out, _ = run(capsys, "validate", "--model", str(path))
+        assert code == 0
+        assert all(line.startswith("PASS") for line in out.splitlines())
+
     def test_failure_names_the_hue(self, capsys, monkeypatch, tmp_path):
         # No config reconstructs to a broken partition, so hand validate one.
         broken, (low, high) = narrow_defect("hole")

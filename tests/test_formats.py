@@ -1,4 +1,5 @@
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -16,11 +17,12 @@ from fuzzyhue import (
     builtin_colibri,
     dump_partition,
     export_metrics_csv,
+    from_boundaries,
     load_partition,
     metrics_table,
     read_image,
 )
-from conftest import make_p6
+from conftest import make_p6, random_boundary_specs
 
 # Whitespace bytes and comments netpbm allows between header fields (and,
 # in P3, between samples); every run holds at least one of them.
@@ -139,6 +141,12 @@ class TestLoadPartition:
         with pytest.raises(ConfigError, match="ascending"):
             load_partition(json.dumps(doc))
 
+    def test_order_error_names_the_boundary(self):
+        doc = json.loads(GOLDEN_DOC)
+        doc["boundaries"][4]["position"] = 100.0
+        with pytest.raises(ConfigError, match=r"boundaries\[4\]\.position .*ascending"):
+            load_partition(json.dumps(doc))
+
     def test_position_out_of_range(self):
         doc = json.loads(GOLDEN_DOC)
         doc["boundaries"][-1]["position"] = 360.0
@@ -172,6 +180,21 @@ class TestLoadPartition:
     def test_dump_round_trip(self, colibri):
         reloaded = load_partition(dump_partition(colibri))
         assert metrics_table(reloaded) == metrics_table(colibri)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        count=st.integers(2, 16),
+        delta=st.floats(-720.0, 720.0, allow_nan=False),
+    )
+    def test_rotated_dump_round_trip(self, seed, count, delta):
+        if seed is None:
+            partition = builtin_colibri()
+        else:
+            specs = random_boundary_specs(random.Random(seed), count)
+            partition = from_boundaries(specs, tuple(f"c{i}" for i in range(count)))
+        rotated = partition.rotated(delta)
+        assert load_partition(dump_partition(rotated)) == rotated
 
 
 class TestExportMetricsCsv:
@@ -286,6 +309,28 @@ class TestReadImage:
             read_image(path)
         # A split token reads as a maxval other than 255, which is the subclass.
         assert caught.type is ImageFormatError
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P6 " + b"1" * 5000 + b" 1 255\n",
+            b"P3 1 1 " + b"2" * 5000 + b" 1 2 3",
+            b"P3 1 1 255 1 " + b"1" * 5000 + b" 3",
+        ],
+        ids=["width", "maxval", "p3-sample"],
+    )
+    def test_numbers_past_the_digit_limit(self, tmp_path, data):
+        # int() refuses more than 4,300 digits by default.
+        path = tmp_path / "long.ppm"
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError, match="too many digits"):
+            read_image(path)
+
+    def test_p3_size_past_any_file(self, tmp_path):
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P3 100000000000000000000 1 255 1 2 3")
+        with pytest.raises(ImageFormatError, match="truncated"):
+            read_image(path)
 
     def test_p3_sample_out_of_range(self, tmp_path):
         path = tmp_path / "hot.ppm"

@@ -1,14 +1,19 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyhue import (
     RING,
     BoundaryOrderError,
     BoundarySpec,
+    HuePartition,
     InconsistentCoreError,
     PartitionError,
     builtin_colibri,
+    check,
     from_boundaries,
     metrics_table,
     wideness,
@@ -72,6 +77,20 @@ class TestFromBoundaries:
             from_boundaries(specs, ("a", "a"))
         with pytest.raises(PartitionError):
             from_boundaries(specs[:1], ("a",))
+
+    def test_duplicate_positions(self):
+        with pytest.raises(BoundaryOrderError, match="got 10.0 after 10.0"):
+            from_boundaries([BoundarySpec(10.0, 2.0)] * 2, ("a", "b"))
+        specs = [BoundarySpec(10.0, 2.0), BoundarySpec(10.0, 2.0), BoundarySpec(200.0, 2.0)]
+        with pytest.raises(BoundaryOrderError, match="ascending"):
+            from_boundaries(specs, ("a", "b", "c"))
+
+    def test_positions_may_start_anywhere(self, colibri):
+        for start in range(len(RING)):
+            names = RING[start:] + RING[:start]
+            p = from_boundaries(colibri.boundaries[start:] + colibri.boundaries[:start], names)
+            for name in RING:
+                assert p.fuzzy_set(name) == colibri.fuzzy_set(name)
 
     def test_exactly_touching_zones_yield_triangle(self):
         # Two boundaries 10 degrees apart with widths adding to exactly 20.
@@ -195,6 +214,45 @@ class TestPartitionInvariants:
 def _circ_err(a, b):
     d = abs(a - b) % 360.0
     return min(d, 360.0 - d)
+
+
+class TestHuePartition:
+    def test_init_fields_are_the_boundary_list(self):
+        fields = [f.name for f in dataclasses.fields(HuePartition) if f.init]
+        assert fields == ["names", "boundaries"]
+
+    def test_sets_are_derived_not_compared(self, colibri):
+        p = HuePartition(colibri.names, colibri.boundaries)
+        assert p.sets == colibri.sets
+        assert p == colibri and hash(p) == hash(colibri)
+        assert "sets" not in repr(p)
+
+    def test_reversed_boundaries_refused(self, colibri):
+        backwards = tuple(reversed(colibri.boundaries))
+        with pytest.raises(BoundaryOrderError, match=r"boundaries\[2\]"):
+            HuePartition(colibri.names, backwards)
+        with pytest.raises(BoundaryOrderError):
+            from_boundaries(backwards, colibri.names)
+
+    def test_count_mismatch(self, colibri):
+        with pytest.raises(PartitionError, match="counts must match"):
+            HuePartition(colibri.names[:-1], colibri.boundaries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 16),
+        delta=st.floats(-720.0, 720.0, allow_nan=False),
+    )
+    def test_rotated_random_rings_pass_check(self, seed, count, delta):
+        specs = random_boundary_specs(random.Random(seed), count)
+        p = from_boundaries(specs, tuple(f"c{i}" for i in range(count)))
+        rotated = p.rotated(delta)
+        assert all(r.ok for r in check(rotated))
+        for t, r in zip(p.sets, rotated.sets):
+            moved = t.rotated(delta)
+            for knot, expected in zip((r.a, r.b, r.c, r.d), (moved.a, moved.b, moved.c, moved.d)):
+                assert _circ_err(knot, expected) < 1e-9
 
 
 class TestBoundarySpec:
