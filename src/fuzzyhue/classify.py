@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import colorsys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import fsum
@@ -89,6 +90,16 @@ class FuzzyColorDescriptor:
         return fsum(self.category_mass.values()) + self.achromatic_mass
 
 
+def _is_gray(saturation: float, value: float, gate: AchromaticGate) -> bool:
+    # Saturation 0 is the gray axis, where the hue is undefined.
+    return (
+        saturation == 0.0
+        or saturation < gate.s_min
+        or value < gate.v_min
+        or value > gate.v_max
+    )
+
+
 def classify_color(
     partition: HuePartition,
     rgb: tuple[int, int, int],
@@ -96,12 +107,7 @@ def classify_color(
 ) -> FuzzyColorDescriptor:
     """Fuzzy descriptor of one color: memberships of its hue, or all gray."""
     hsv = rgb_to_hsv(rgb)
-    if (
-        hsv.hue is None
-        or hsv.saturation < gate.s_min
-        or hsv.value < gate.v_min
-        or hsv.value > gate.v_max
-    ):
+    if _is_gray(hsv.saturation, hsv.value, gate):
         return FuzzyColorDescriptor({name: 0.0 for name in partition.names}, 1.0)
     return FuzzyColorDescriptor(partition.memberships(hsv.hue), 0.0)
 
@@ -119,21 +125,31 @@ def image_descriptor(
     """
     if not grid.pixels:
         raise ValueError("cannot describe an empty image")
+    knots, active = partition._segments
     # Zero terms add nothing to an exactly rounded sum, so only nonzero
-    # masses are kept. Gray mass has its own list: a category may be named
-    # like the achromatic label.
-    terms = {name: [] for name in partition.names}
-    gray = []
+    # masses are kept, in one list per category. Gray pixels are counted
+    # apart: a category may be named like the achromatic label.
+    terms = [[] for _ in partition.names]
+    gray = 0
     for rgb, count in Counter(grid.pixels).items():
-        descriptor = classify_color(partition, rgb, gate)
-        for name, mass in descriptor.category_mass.items():
+        r, g, b = rgb
+        if not (
+            type(r) is int and type(g) is int and type(b) is int
+            and 0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255
+        ):
+            r, g, b = map(_check_channel, rgb)
+        h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
+        if _is_gray(s, v, gate):
+            gray += count
+            continue
+        hue = h * 360.0
+        for i, t in active[bisect_right(knots, hue) - 1]:
+            mass = t.membership(hue)
             if mass:
-                terms[name].append(mass * count)
-        if descriptor.achromatic_mass:
-            gray.append(descriptor.achromatic_mass * count)
+                terms[i].append(mass * count)
     n = len(grid.pixels)
     return FuzzyColorDescriptor(
-        {name: fsum(masses) / n for name, masses in terms.items()}, fsum(gray) / n
+        {name: fsum(masses) / n for name, masses in zip(partition.names, terms)}, gray / n
     )
 
 

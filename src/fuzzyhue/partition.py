@@ -12,8 +12,9 @@ to one across the zone, and every crossing sits exactly at 0.5/0.5).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .circle import PERIOD, wrap
@@ -48,6 +49,10 @@ _COLIBRI_BOUNDARIES = (
 )
 
 _CORE_TOL = 1e-9
+
+# The (ring index, set) pairs of the categories that can be nonzero on one
+# segment of the knot table.
+_Active = tuple[tuple[int, CircularTrapezoid], ...]
 
 
 class PartitionError(ValueError):
@@ -99,6 +104,8 @@ class HuePartition:
     and derives ``sets``: the category between boundaries L and R gets the
     :class:`CircularTrapezoid` with knots ``L.position -/+ L.width/2`` and
     ``R.position -/+ R.width/2``. Immutable; every query is a pure function.
+    Lookups evaluate only the categories active around a hue, found in a
+    segment table derived from the knots on first use.
     """
 
     names: tuple[str, ...]
@@ -106,7 +113,10 @@ class HuePartition:
     sets: tuple[CircularTrapezoid, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names, boundaries = self.names, self.boundaries
+        # Tuples keep the partition hashable and equal to one built from lists.
+        names, boundaries = tuple(self.names), tuple(self.boundaries)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "boundaries", boundaries)
         n = len(boundaries)
         if n < 2:
             raise PartitionError("a partition needs at least 2 categories")
@@ -166,23 +176,68 @@ class HuePartition:
     def successor(self, name: str) -> str:
         return self.names[(self.index(name) + 1) % len(self.names)]
 
+    @cached_property
+    def _segments(self) -> tuple[tuple[float, ...], tuple[_Active, ...]]:
+        """``(knots, active)``: the sorted unique knots of ``sets`` and, for the
+        segment from ``knots[j]`` to the next knot (the last one wrapping
+        through 0), the ``(index, set)`` pairs in ring order of every category
+        that can be nonzero on it.
+
+        Category i covers the segments from its ``a`` knot up to its ``d``
+        knot. Each segment also takes the categories of the segment before
+        it: a support computed in floats can end a few ulps past its ``d``
+        knot, and a hue exactly on a knot belongs to both segments it
+        separates. The ``a`` end needs no margin: for a hue short of ``a``,
+        the offset from ``a`` comes out at or past the span end, or exactly 0.
+        """
+        knots = sorted({k for t in self.sets for k in (t.a, t.b, t.c, t.d)})
+        count = len(knots)
+        position = {knot: j for j, knot in enumerate(knots)}
+        covered: list[set[int]] = [set() for _ in knots]
+        for i, t in enumerate(self.sets):
+            j, end = position[t.a], position[t.d]
+            while True:
+                covered[j].add(i)
+                j = (j + 1) % count
+                if j == end:
+                    break
+        active = tuple(
+            tuple((i, self.sets[i]) for i in sorted(covered[j - 1] | covered[j]))
+            for j in range(count)
+        )
+        return tuple(knots), active
+
+    def _active(self, hue: float) -> _Active:
+        wrapped = hue % PERIOD
+        # NaN and both infinities leave NaN here.
+        if wrapped != wrapped:
+            raise ValueError(f"hue must be finite, got {hue!r}")
+        knots, active = self._segments
+        return active[bisect_right(knots, wrapped) - 1]
+
     def memberships(self, hue: float) -> dict[str, float]:
         """All category memberships at ``hue``, in ring order.
 
-        At most two entries are nonzero and the values sum to one.
+        At most two entries are nonzero and the values sum to one. A hue
+        that is NaN or infinite raises ValueError.
         """
-        return {name: t.membership(hue) for name, t in zip(self.names, self.sets)}
+        names = self.names
+        values = dict.fromkeys(names, 0.0)
+        for i, t in self._active(hue):
+            values[names[i]] = t.membership(hue)
+        return values
 
     def category_of(self, hue: float) -> str:
-        """Crisp winner at ``hue``; exact ties go to the earlier ring entry."""
-        best_name = self.names[0]
-        best = -1.0
-        for name, t in zip(self.names, self.sets):
+        """Crisp winner at ``hue``; exact ties go to the earlier ring entry.
+
+        A hue that is NaN or infinite raises ValueError.
+        """
+        best, winner = 0.0, 0
+        for i, t in self._active(hue):
             m = t.membership(hue)
             if m > best:
-                best = m
-                best_name = name
-        return best_name
+                best, winner = m, i
+        return self.names[winner]
 
     def rotated(self, delta: float) -> HuePartition:
         """The same partition with every hue shifted by ``delta`` degrees."""

@@ -1,5 +1,7 @@
+import colorsys
 import random
 from collections import Counter
+from enum import IntEnum
 from math import fsum
 
 import pytest
@@ -43,6 +45,22 @@ def reference_descriptor(partition, grid, gate):
     }
     achromatic = fsum(d.achromatic_mass * count for d, count in weighted) / n
     return FuzzyColorDescriptor(masses, achromatic)
+
+
+def scan_descriptor(partition, grid, gate):
+    """colorsys, the gate and every set of the partition, per distinct color."""
+    n = len(grid.pixels)
+    terms = {name: [] for name in partition.names}
+    gray = []
+    for (r, g, b), count in Counter(grid.pixels).items():
+        h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
+        if s == 0.0 or s < gate.s_min or v < gate.v_min or v > gate.v_max:
+            gray.append(1.0 * count)
+            continue
+        for name, t in zip(partition.names, partition.sets):
+            terms[name].append(t.membership(h * 360.0) * count)
+    masses = {name: fsum(values) / n for name, values in terms.items()}
+    return FuzzyColorDescriptor(masses, fsum(gray) / n)
 
 
 def bits(descriptor):
@@ -222,6 +240,44 @@ class TestImageDescriptor:
         gate = AchromaticGate(s_min=rng.uniform(0.0, 0.5), v_min=rng.uniform(0.0, 0.3))
         assert bits(image_descriptor(partition, grid, gate)) == bits(
             reference_descriptor(partition, grid, gate)
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise_equal_to_full_scan(self, colibri, seed):
+        rng = random.Random(100 + seed)
+        if seed % 2:
+            count = rng.randint(2, 16)
+            partition = from_boundaries(
+                random_boundary_specs(rng, count), [f"c{i}" for i in range(count)]
+            )
+        else:
+            partition = colibri
+        pixels = [(rng.randrange(256), rng.randrange(256), rng.randrange(256)) for _ in range(3000)]
+        pixels += [(v, v, v) for v in rng.choices(range(256), k=100)]
+        grid = grid_of(pixels, width=31)
+        gate = AchromaticGate(
+            s_min=rng.uniform(0.0, 0.5), v_min=rng.uniform(0.0, 0.3), v_max=rng.uniform(0.7, 1.0)
+        )
+        assert bits(image_descriptor(partition, grid, gate)) == bits(
+            scan_descriptor(partition, grid, gate)
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [(True, 0, 0), (1.0, 0, 0), (0, 256, 0), (0, 0, -1), (1, 2), (1, 2, 3, 4)]
+    )
+    def test_malformed_color_refused(self, colibri, bad):
+        with pytest.raises(ValueError):
+            image_descriptor(colibri, PixelGrid(2, 1, ((10, 20, 30), bad)))
+
+    def test_int_enum_channel_accepted(self, colibri):
+        class Level(IntEnum):
+            LOW = 10
+            HIGH = 200
+
+        enum_grid = PixelGrid(1, 1, ((Level.HIGH, Level.LOW, 0),))
+        int_grid = PixelGrid(1, 1, ((200, 10, 0),))
+        assert bits(image_descriptor(colibri, enum_grid)) == bits(
+            image_descriptor(colibri, int_grid)
         )
 
     def test_category_named_achromatic_keeps_its_own_mass(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -211,6 +212,87 @@ class TestPartitionInvariants:
                 assert _circ_err(moved.position, wrap(original.position + delta)) < 1e-9
 
 
+def scan_memberships(partition, hue):
+    """Every set of the partition evaluated at ``hue``, in ring order."""
+    return [t.membership(hue) for t in partition.sets]
+
+
+def scan_category(partition, hue):
+    """Crisp winner over every set; a strict ``>`` keeps the earlier entry on ties."""
+    best, winner = -1.0, 0
+    for i, t in enumerate(partition.sets):
+        m = t.membership(hue)
+        if m > best:
+            best, winner = m, i
+    return partition.names[winner]
+
+
+def probe_hues(partition, rng):
+    """Random hues, every knot and up to 4 ulps either side, and all of them
+    shifted by whole turns."""
+    knots = {k for t in partition.sets for k in (t.a, t.b, t.c, t.d)}
+    hues = [rng.uniform(0.0, 360.0) for _ in range(100)]
+    for knot in knots:
+        hues.append(knot)
+        for direction in (-math.inf, math.inf):
+            hue = knot
+            for _ in range(4):
+                hue = math.nextafter(hue, direction)
+                hues.append(hue)
+    shifted = [hue + turns * 360.0 for hue in hues for turns in (-2, -1, 1, 2)]
+    return hues + shifted + [-0.0, -5e-324, -1e-300, 360.0, 720.0]
+
+
+def assert_matches_scan(partition, hues):
+    for hue in hues:
+        values = partition.memberships(hue)
+        assert tuple(values) == partition.names
+        expected = [m.hex() for m in scan_memberships(partition, hue)]
+        assert [m.hex() for m in values.values()] == expected, hue
+        assert partition.category_of(hue) == scan_category(partition, hue), hue
+
+
+class TestSegmentTable:
+    def test_builtin_matches_scan(self, colibri):
+        assert_matches_scan(colibri, probe_hues(colibri, random.Random(3)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
+    def test_random_rings_match_scan(self, seed, count):
+        rng = random.Random(seed)
+        p = from_boundaries(random_boundary_specs(rng, count), [f"c{i}" for i in range(count)])
+        assert_matches_scan(p, probe_hues(p, rng))
+
+    @pytest.mark.parametrize(
+        "hue, pair", [(12.5, ("red", "orange")), (40.0, ("orange", "yellow")),
+                      (340.5, ("magenta", "red"))]
+    )
+    def test_exact_ties(self, colibri, hue, pair):
+        values = colibri.memberships(hue)
+        assert (values[pair[0]], values[pair[1]]) == (0.5, 0.5)
+        assert_matches_scan(colibri, [hue])
+        assert colibri.category_of(hue) == min(pair, key=colibri.index)
+
+    def test_built_lazily_without_evaluations(self, monkeypatch):
+        p = from_boundaries(golden_specs(), RING)
+        assert "_segments" not in vars(p)
+
+        def refuse(self, hue):
+            raise AssertionError("the table must not evaluate memberships")
+
+        monkeypatch.setattr(type(p.sets[0]), "membership", refuse)
+        knots, active = p._segments
+        assert len(active) == len(knots)
+        assert all(1 <= len(pairs) <= 3 for pairs in active)
+
+    @pytest.mark.parametrize("hue", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hue_refused(self, colibri, hue):
+        with pytest.raises(ValueError, match="finite"):
+            colibri.memberships(hue)
+        with pytest.raises(ValueError, match="finite"):
+            colibri.category_of(hue)
+
+
 def _circ_err(a, b):
     d = abs(a - b) % 360.0
     return min(d, 360.0 - d)
@@ -226,6 +308,11 @@ class TestHuePartition:
         assert p.sets == colibri.sets
         assert p == colibri and hash(p) == hash(colibri)
         assert "sets" not in repr(p)
+
+    def test_list_fields_are_stored_as_tuples(self, colibri):
+        p = HuePartition(list(colibri.names), list(colibri.boundaries))
+        assert (type(p.names), type(p.boundaries)) == (tuple, tuple)
+        assert p == colibri and hash(p) == hash(colibri)
 
     def test_reversed_boundaries_refused(self, colibri):
         backwards = tuple(reversed(colibri.boundaries))
