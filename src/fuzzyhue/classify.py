@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import colorsys
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -16,6 +17,10 @@ if TYPE_CHECKING:
 
 #: Label used for colors below the chromatic thresholds.
 ACHROMATIC = "achromatic"
+
+# Byte positions of R, G and B inside a native 4-byte unsigned int whose
+# value is 0x00RRGGBB.
+_RGB_WORD_OFFSETS = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -60,9 +65,25 @@ def _check_channel(value: int) -> int:
     return value
 
 
+def _check_rgb(rgb: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The three channels of an RGB triple, each an int (not bool) in [0, 255].
+
+    Anything but exactly three values raises ValueError, like a bad channel.
+    """
+    r, g, b = rgb
+    # Exact ints in range are the common case; subclasses (IntEnum, bool)
+    # and everything else go through the full check.
+    if (
+        type(r) is int and type(g) is int and type(b) is int
+        and 0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255
+    ):
+        return r, g, b
+    return _check_channel(r), _check_channel(g), _check_channel(b)
+
+
 def rgb_to_hsv(rgb: tuple[int, int, int]) -> HsvColor:
     """Standard hexcone conversion; hue in degrees [0, 360) or None for grays."""
-    r, g, b = (_check_channel(v) for v in rgb)
+    r, g, b = _check_rgb(rgb)
     h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
     return HsvColor(None if s == 0.0 else h * 360.0, s, v)
 
@@ -123,22 +144,25 @@ def image_descriptor(
     with exact (compensated) summation, so the result is identical for any
     pixel ordering.
     """
-    if not grid.pixels:
+    samples = grid.samples
+    n = len(samples) // 3
+    if not n:
         raise ValueError("cannot describe an empty image")
+    # One native word 0x00RRGGBB per pixel, spread by three strided copies,
+    # so the colours are counted without building a tuple per pixel.
+    words = bytearray(4 * n)
+    for channel, offset in enumerate(_RGB_WORD_OFFSETS):
+        words[offset::4] = samples[channel::3]
     knots, active = partition._segments
     # Zero terms add nothing to an exactly rounded sum, so only nonzero
     # masses are kept, in one list per category. Gray pixels are counted
     # apart: a category may be named like the achromatic label.
     terms = [[] for _ in partition.names]
     gray = 0
-    for rgb, count in Counter(grid.pixels).items():
-        r, g, b = rgb
-        if not (
-            type(r) is int and type(g) is int and type(b) is int
-            and 0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255
-        ):
-            r, g, b = map(_check_channel, rgb)
-        h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
+    for key, count in Counter(memoryview(words).cast("I")).items():
+        h, s, v = colorsys.rgb_to_hsv(
+            (key >> 16) / 255.0, (key >> 8 & 255) / 255.0, (key & 255) / 255.0
+        )
         if _is_gray(s, v, gate):
             gray += count
             continue
@@ -147,7 +171,6 @@ def image_descriptor(
             mass = t.membership(hue)
             if mass:
                 terms[i].append(mass * count)
-    n = len(grid.pixels)
     return FuzzyColorDescriptor(
         {name: fsum(masses) / n for name, masses in zip(partition.names, terms)}, gray / n
     )

@@ -7,10 +7,11 @@ import io
 import json
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn, Sequence
 
+from .classify import _check_rgb
 from .metrics import CategoryMetrics
 from .partition import BoundaryOrderError, BoundarySpec, HuePartition, from_boundaries
 
@@ -36,21 +37,41 @@ class UnsupportedImageFormatError(ImageFormatError):
     """Image file is in a format this reader does not handle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PixelGrid:
-    """Row-major 8-bit RGB raster."""
+    """Row-major 8-bit RGB raster, stored as packed samples (R, G, B per pixel).
+
+    ``pixels`` is either that packed ``bytes`` form or a sequence of RGB
+    triples, which is checked (each channel an ``int`` in [0, 255], ``bool``
+    refused) and packed once. A grid equals and hashes like any other grid of
+    the same size and samples, however it was built.
+    """
 
     width: int
     height: int
-    pixels: tuple[tuple[int, int, int], ...]
+    samples: bytes = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        if len(self.pixels) != self.width * self.height:
+    def __init__(
+        self, width: int, height: int, pixels: bytes | Sequence[tuple[int, int, int]]
+    ) -> None:
+        if width <= 0 or height <= 0:
+            raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+        if isinstance(pixels, bytes):
+            samples = pixels
+        else:
+            samples = bytes(v for rgb in pixels for v in _check_rgb(rgb))
+        if len(samples) != 3 * width * height:
             raise ValueError(
-                f"pixel count {len(self.pixels)} does not match {self.width}x{self.height}"
+                f"{len(samples)} sample bytes do not hold {width}x{height} RGB pixels"
             )
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "samples", samples)
+
+    @property
+    def pixels(self) -> tuple[tuple[int, int, int], ...]:
+        """The raster as RGB triples, rebuilt on every access (O(pixels))."""
+        return tuple(struct.iter_unpack("BBB", self.samples))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -228,5 +249,5 @@ def read_image(path: str | Path) -> PixelGrid:
             raise ImageFormatError(
                 f"truncated P3 pixel data: expected {count} samples, got {len(samples)}"
             )
-    # iter_unpack knows its length, so the tuple is allocated once, not regrown.
-    return PixelGrid(width, height, tuple(struct.iter_unpack("BBB", bytes(samples))))
+        samples = bytes(samples)
+    return PixelGrid(width, height, samples)

@@ -90,6 +90,18 @@ class TestRgbToHsv:
         with pytest.raises(ValueError):
             rgb_to_hsv(bad)
 
+    @pytest.mark.parametrize("bad", [(True, 0, 0), (1.0, 0, 0), (1, 2), (1, 2, 3, 4)])
+    def test_bool_float_and_wrong_arity_refused(self, bad):
+        with pytest.raises(ValueError):
+            rgb_to_hsv(bad)
+
+    def test_int_enum_channel_accepted(self):
+        class Level(IntEnum):
+            LOW = 10
+            HIGH = 200
+
+        assert rgb_to_hsv((Level.HIGH, Level.LOW, 0)) == rgb_to_hsv((200, 10, 0))
+
     def test_round_trip_with_inverse(self):
         for rgb in [(255, 0, 0), (12, 200, 99), YELLOW_46, (1, 2, 3)]:
             hsv = rgb_to_hsv(rgb)
@@ -167,7 +179,7 @@ class TestImageDescriptor:
     def test_empty_image_rejected(self, colibri):
         # PixelGrid itself refuses empty rasters, so stub the duck type.
         class EmptyGrid:
-            pixels = ()
+            samples = b""
 
         with pytest.raises(ValueError):
             image_descriptor(colibri, EmptyGrid())

@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from fuzzyhue import (
     dump_partition,
     export_metrics_csv,
     from_boundaries,
+    image_descriptor,
     load_partition,
     metrics_table,
     read_image,
@@ -350,3 +352,53 @@ class TestPixelGrid:
             PixelGrid(0, 1, ())
         with pytest.raises(ValueError):
             PixelGrid(2, 1, ((0, 0, 0),))
+
+    def test_triples_and_bytes_build_the_same_grid(self):
+        rng = random.Random(11)
+        pixels = tuple(
+            (rng.randrange(256), rng.randrange(256), rng.randrange(256)) for _ in range(12)
+        )
+        packed = bytes(v for px in pixels for v in px)
+        from_triples = PixelGrid(4, 3, list(pixels))
+        from_bytes = PixelGrid(4, 3, packed)
+        assert from_triples == from_bytes
+        assert hash(from_triples) == hash(from_bytes)
+        assert from_triples.samples == packed
+        assert from_bytes.pixels == pixels
+        assert PixelGrid(4, 3, from_bytes.pixels) == from_bytes
+        assert from_bytes != PixelGrid(3, 4, packed)
+
+    @pytest.mark.parametrize("size", [5, 11, 13, 0, 9, 15])
+    def test_sample_bytes_must_fill_the_raster(self, size):
+        # 2x2 needs exactly 12 bytes: lengths off a multiple of 3 and whole
+        # pixels too few or too many are refused alike.
+        with pytest.raises(ValueError, match="sample bytes"):
+            PixelGrid(2, 2, bytes(size))
+
+    @pytest.mark.parametrize(
+        "data",
+        [make_p6(2, 1, [(255, 0, 0), (0, 9, 200)]), b"P3\n2 1\n255\n255 0 0\n0 9 200\n"],
+        ids=["P6", "P3"],
+    )
+    def test_read_image_keeps_the_raster_bytes(self, tmp_path, data):
+        path = tmp_path / "raster.ppm"
+        path.write_bytes(data)
+        assert read_image(path).samples == bytes([255, 0, 0, 0, 9, 200])
+
+
+def test_label_memory_stays_near_the_raster_size(tmp_path, colibri):
+    # Reading and labelling a 512x512 image must not hold an object per
+    # pixel: the traced peak stays within a small multiple of the raster.
+    side = 512
+    raster = bytes([200, 40, 0, 30, 90, 220]) * (side * side // 2)
+    path = tmp_path / "two-colour.ppm"
+    path.write_bytes(b"P6\n%d %d\n255\n" % (side, side) + raster)
+    image_descriptor(colibri, PixelGrid(1, 1, [(0, 0, 0)]))  # build lazy tables
+    tracemalloc.start()
+    try:
+        descriptor = image_descriptor(colibri, read_image(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert descriptor.total() == pytest.approx(1.0)
+    assert peak < 4 * len(raster)
