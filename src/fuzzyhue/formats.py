@@ -41,6 +41,7 @@ class UnsupportedImageFormatError(ImageFormatError):
 class PixelGrid:
     """Row-major 8-bit RGB raster, stored as packed samples (R, G, B per pixel).
 
+    ``width`` and ``height`` are positive ``int``s (``bool`` refused), and
     ``pixels`` is either that packed ``bytes`` form or a sequence of RGB
     triples, which is checked (each channel an ``int`` in [0, 255], ``bool``
     refused) and packed once. A grid equals and hashes like any other grid of
@@ -54,8 +55,11 @@ class PixelGrid:
     def __init__(
         self, width: int, height: int, pixels: bytes | Sequence[tuple[int, int, int]]
     ) -> None:
-        if width <= 0 or height <= 0:
-            raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+        for size in (width, height):
+            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
+                raise ValueError(
+                    f"image dimensions must be positive integers, got {width!r}x{height!r}"
+                )
         if isinstance(pixels, bytes):
             samples = pixels
         else:

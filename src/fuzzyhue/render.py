@@ -109,12 +109,32 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
     for mu in (0.0, 0.5, 1.0):
         parts.append(_text(left - 8, y_of(mu) + 4, f"{mu:.1f}", "tick-label", anchor="end"))
 
-    for index, name in enumerate(partition.names):
-        t = partition.sets[index]
-        points = " ".join(
-            f"{_fmt(x_of(i * cell))},{_fmt(y_of(t.membership(i * cell)))}"
-            for i in range(steps + 1)
-        )
+    def curve_points():
+        """Each category's polyline ``points``, in ring order.
+
+        Samples once: every x is formatted once, and at each x only the
+        categories of the segment table's active entry are evaluated. Every
+        other category is exactly 0 there, which formats to the floor. A
+        polyline is joined just before it is yielded, so only the nonzero
+        samples are kept, and they are freed with the loop that takes them.
+        """
+        xs = [_fmt(x_of(i * cell)) + "," for i in range(steps + 1)]
+        floor = _fmt(y_of(0.0))
+        flat = [x + floor for x in xs]
+        raised: list[list[tuple[int, str]]] = [[] for _ in partition.names]
+        for i in range(steps + 1):
+            hue = i * cell
+            for index, t in partition._active(hue):
+                mu = t.membership(hue)
+                if mu:
+                    raised[index].append((i, _fmt(y_of(mu))))
+        for pairs in raised:
+            samples = flat.copy()
+            for i, y in pairs:
+                samples[i] = xs[i] + y
+            yield " ".join(samples)
+
+    for index, (name, points) in enumerate(zip(partition.names, curve_points())):
         color = _hex_color(_category_anchor(partition, index))
         parts.append(
             f'<polyline class="membership" data-category="{escape(name)}" '
@@ -158,15 +178,16 @@ def render_spectrum(partition: HuePartition, config: PlotConfig | None = None) -
     parts.append(
         f'<rect class="bg" x="0" y="0" width="{cfg.width_px}" height="{cfg.height_px}" fill="#ffffff"/>'
     )
+    edges = [x_of(i * cell) for i in range(steps + 1)]
+    y_attr, h_attr = _fmt(top), _fmt(bar_h)
     for i in range(steps):
-        x0 = x_of(i * cell)
-        x1 = x_of((i + 1) * cell)
+        x0, x1 = edges[i], edges[i + 1]
         color = _hex_color((i + 0.5) * cell)
         # Slight bleed so adjacent strips leave no hairline gaps.
         width = (x1 - x0) + (0.2 if i + 1 < steps else 0.0)
         parts.append(
-            f'<rect class="strip" x="{_fmt(x0)}" y="{_fmt(top)}" '
-            f'width="{_fmt(width)}" height="{_fmt(bar_h)}" fill="{color}"/>'
+            f'<rect class="strip" x="{_fmt(x0)}" y="{y_attr}" '
+            f'width="{_fmt(width)}" height="{h_attr}" fill="{color}"/>'
         )
 
     for boundary in partition.boundaries:

@@ -353,6 +353,13 @@ class TestPixelGrid:
         with pytest.raises(ValueError):
             PixelGrid(2, 1, ((0, 0, 0),))
 
+    @pytest.mark.parametrize("size", [2.0, True, "2", 0])
+    @pytest.mark.parametrize("axis", ["width", "height"])
+    def test_dimensions_must_be_positive_ints(self, size, axis):
+        dims = {"width": 2, "height": 1, axis: size}
+        with pytest.raises(ValueError, match="dimensions"):
+            PixelGrid(dims["width"], dims["height"], bytes(6))
+
     def test_triples_and_bytes_build_the_same_grid(self):
         rng = random.Random(11)
         pixels = tuple(

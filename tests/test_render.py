@@ -1,11 +1,18 @@
+import hashlib
+import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from xml.dom import minidom
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_boundary_specs
 from fuzzyhue import (
     RING,
     BoundarySpec,
+    CircularTrapezoid,
     PlotConfig,
     from_boundaries,
     render_memberships,
@@ -14,8 +21,12 @@ from fuzzyhue import (
 
 # Layout constants pinned by the renderer.
 MEMBERS_LEFT, MEMBERS_RIGHT = 45.0, 15.0
+MEMBERS_TOP, MEMBERS_BOTTOM = 15.0, 35.0
 SPECTRUM_LEFT, SPECTRUM_RIGHT = 15.0, 15.0
 GOLDEN_POSITIONS = (12.5, 40.0, 55.5, 151.5, 180.5, 199.5, 255.0, 300.5, 340.5)
+WIDE_CONFIG = PlotConfig(
+    width_px=1200, height_px=400, alpha_line=0.3, sample_step=1.0, show_labels=False
+)
 
 
 def by_class(svg_text, cls):
@@ -99,6 +110,72 @@ class TestRenderMemberships:
         assert len(by_class(with_labels, "category-label")) == 9
         assert len(by_class(without, "category-label")) == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 16),
+        rotate=st.booleans(),
+        sample_step=st.sampled_from([0.5, 0.7, 1.0, 2.3, 3.7, 5.0]),
+    )
+    def test_polylines_match_every_category_at_every_sample(
+        self, seed, count, rotate, sample_step
+    ):
+        rng = random.Random(seed)
+        specs = random_boundary_specs(rng, count)
+        partition = from_boundaries(specs, [f"c{i}" for i in range(count)])
+        if rotate:
+            # Move one transition zone so that it straddles 0.
+            spec = rng.choice(specs)
+            partition = partition.rotated(rng.uniform(-0.5, 0.5) * spec.width - spec.position)
+        cfg = PlotConfig(sample_step=sample_step)
+        svg = render_memberships(partition, cfg)
+        got = [el.get("points") for el in by_class(svg, "membership")]
+        assert got == reference_points(partition, cfg)
+
+    def test_evaluates_only_active_categories(self, colibri, monkeypatch):
+        calls = 0
+        membership = CircularTrapezoid.membership
+
+        def counting(self, hue):
+            nonlocal calls
+            calls += 1
+            return membership(self, hue)
+
+        cfg = PlotConfig()
+        colibri._active(0.0)  # build the lazy segment table
+        monkeypatch.setattr(CircularTrapezoid, "membership", counting)
+        render_memberships(colibri, cfg)
+        steps = round(360.0 / cfg.sample_step)
+        assert 0 < calls <= 3 * (steps + 1)
+
+    def test_samples_are_freed_before_the_document_is_joined(self, colibri):
+        # Joining the parts into the document holds about three copies of
+        # it; the per-sample strings must be gone by then, not add to it.
+        svg = render_memberships(colibri)
+        tracemalloc.start()
+        try:
+            render_memberships(colibri)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * len(svg)
+
+
+def reference_points(partition, cfg):
+    """Every polyline's points, every category evaluated at every sample."""
+    plot_w = cfg.width_px - MEMBERS_LEFT - MEMBERS_RIGHT
+    plot_h = cfg.height_px - MEMBERS_TOP - MEMBERS_BOTTOM
+    steps = int(round(360.0 / cfg.sample_step))
+    cell = 360.0 / steps
+    return [
+        " ".join(
+            f"{MEMBERS_LEFT + i * cell / 360.0 * plot_w:.3f},"
+            f"{MEMBERS_TOP + (1.0 - t.membership(i * cell)) * plot_h:.3f}"
+            for i in range(steps + 1)
+        )
+        for t in partition.sets
+    ]
+
 
 class TestRenderSpectrum:
     def marker_degrees(self, svg, cfg):
@@ -152,3 +229,31 @@ def test_markup_in_category_names_is_escaped(render):
     assert labels == list(names)
     categories = [el.get("data-category") for el in root.iter() if el.get("data-category")]
     assert categories in ([], list(names))
+
+
+# SHA-256 of both figures for the builtin ring, recorded from the
+# per-category renderer that sampled every category at every x.
+SVG_DIGESTS = {
+    (render_memberships, PlotConfig()): (
+        "b987f1331eac324da5897b7c87575cf74d90657a4967bc551e072f6334c2b2e5"
+    ),
+    (render_spectrum, PlotConfig()): (
+        "9ea75f26a9f5396bd2c81cacda3dcc9f6e1446223e561b99a08bb770b012a2f3"
+    ),
+    (render_memberships, WIDE_CONFIG): (
+        "95f436f5990d140fc4c2cd863d7c537832c7d2ba29ce34927995f226ba18fbf1"
+    ),
+    (render_spectrum, WIDE_CONFIG): (
+        "e18c29e851ab4a272780c5f60a4db223460033a551a06a5501a84eef9330cb7f"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("render", "cfg"),
+    list(SVG_DIGESTS),
+    ids=["memberships-default", "spectrum-default", "memberships-wide", "spectrum-wide"],
+)
+def test_builtin_svg_bytes_are_pinned(colibri, render, cfg):
+    svg = render(colibri, cfg).encode("utf-8")
+    assert hashlib.sha256(svg).hexdigest() == SVG_DIGESTS[render, cfg]
