@@ -8,7 +8,8 @@ immutable values, so the types are safe to share freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._value import Value
 
 PERIOD = 360.0
 
@@ -25,8 +26,7 @@ def wrap(angle: float) -> float:
     return 0.0 if h >= PERIOD else h
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Value):
     """Directed circular interval from ``start`` ascending to ``end``.
 
     The arc runs in ascending degrees and wraps through 0 when ``end`` is
@@ -35,13 +35,12 @@ class Arc:
     constructor because endpoints alone cannot tell it apart from empty.
     """
 
-    start: float
-    end: float
-    is_full: bool = False
+    __match_args__ = ("start", "end", "is_full")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", wrap(self.start))
-        object.__setattr__(self, "end", wrap(self.end))
+    def __init__(self, start: float, end: float, is_full: bool = False) -> None:
+        object.__setattr__(self, "start", wrap(start))
+        object.__setattr__(self, "end", wrap(end))
+        object.__setattr__(self, "is_full", is_full)
 
     @classmethod
     def full_circle(cls) -> Arc:

@@ -6,10 +6,10 @@ import colorsys
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from math import fsum
 from typing import TYPE_CHECKING, Mapping
 
+from ._value import Value
 from .partition import HuePartition
 
 if TYPE_CHECKING:
@@ -23,17 +23,18 @@ ACHROMATIC = "achromatic"
 _RGB_WORD_OFFSETS = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class HsvColor:
+class HsvColor(Value):
     """Hexcone HSV triple; ``hue`` is None exactly when saturation is 0."""
 
-    hue: float | None
-    saturation: float
-    value: float
+    __match_args__ = ("hue", "saturation", "value")
+
+    def __init__(self, hue: float | None, saturation: float, value: float) -> None:
+        object.__setattr__(self, "hue", hue)
+        object.__setattr__(self, "saturation", saturation)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class AchromaticGate:
+class AchromaticGate(Value):
     """Saturation/value thresholds outside which a color reads as gray.
 
     Colors with saturation below ``s_min``, value below ``v_min``, or value
@@ -42,18 +43,16 @@ class AchromaticGate:
     and ``v_min <= v_max``; anything else (NaN included) raises ValueError.
     """
 
-    s_min: float = 0.15
-    v_min: float = 0.10
-    v_max: float = 1.0
+    __match_args__ = ("s_min", "v_min", "v_max")
 
-    def __post_init__(self) -> None:
-        for name in ("s_min", "v_min", "v_max"):
-            value = getattr(self, name)
+    def __init__(self, s_min: float = 0.15, v_min: float = 0.10, v_max: float = 1.0) -> None:
+        for name, value in zip(self.__match_args__, (s_min, v_min, v_max)):
             # NaN fails the comparison, so it cannot switch a gate off.
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if self.v_min > self.v_max:
-            raise ValueError(f"v_min {self.v_min!r} exceeds v_max {self.v_max!r}")
+            object.__setattr__(self, name, value)
+        if v_min > v_max:
+            raise ValueError(f"v_min {v_min!r} exceeds v_max {v_max!r}")
 
 
 DEFAULT_GATE = AchromaticGate()
@@ -94,12 +93,14 @@ def hsv_to_rgb(hue: float, saturation: float = 1.0, value: float = 1.0) -> tuple
     return round(r * 255), round(g * 255), round(b * 255)
 
 
-@dataclass(frozen=True)
-class FuzzyColorDescriptor:
+class FuzzyColorDescriptor(Value):
     """Normalized per-category mass for a color or image, plus gray mass."""
 
-    category_mass: Mapping[str, float]
-    achromatic_mass: float
+    __match_args__ = ("category_mass", "achromatic_mass")
+
+    def __init__(self, category_mass: Mapping[str, float], achromatic_mass: float) -> None:
+        object.__setattr__(self, "category_mass", category_mass)
+        object.__setattr__(self, "achromatic_mass", achromatic_mass)
 
     def labeled_masses(self) -> list[tuple[str, float]]:
         """All (label, mass) pairs in ring order, achromatic last."""
@@ -127,10 +128,11 @@ def classify_color(
     gate: AchromaticGate = DEFAULT_GATE,
 ) -> FuzzyColorDescriptor:
     """Fuzzy descriptor of one color: memberships of its hue, or all gray."""
-    hsv = rgb_to_hsv(rgb)
-    if _is_gray(hsv.saturation, hsv.value, gate):
+    r, g, b = _check_rgb(rgb)
+    h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
+    if _is_gray(s, v, gate):
         return FuzzyColorDescriptor({name: 0.0 for name in partition.names}, 1.0)
-    return FuzzyColorDescriptor(partition.memberships(hsv.hue), 0.0)
+    return FuzzyColorDescriptor(partition.memberships(h * 360.0), 0.0)
 
 
 def image_descriptor(

@@ -7,10 +7,10 @@ import io
 import json
 import re
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn, Sequence
 
+from ._value import Value
 from .classify import _check_rgb
 from .metrics import CategoryMetrics
 from .partition import BoundaryOrderError, BoundarySpec, HuePartition, from_boundaries
@@ -37,8 +37,7 @@ class UnsupportedImageFormatError(ImageFormatError):
     """Image file is in a format this reader does not handle."""
 
 
-@dataclass(frozen=True, init=False)
-class PixelGrid:
+class PixelGrid(Value):
     """Row-major 8-bit RGB raster, stored as packed samples (R, G, B per pixel).
 
     ``width`` and ``height`` are positive ``int``s (``bool`` refused), and
@@ -48,9 +47,7 @@ class PixelGrid:
     the same size and samples, however it was built.
     """
 
-    width: int
-    height: int
-    samples: bytes = field(repr=False)
+    __match_args__ = ("width", "height", "samples")
 
     def __init__(
         self, width: int, height: int, pixels: bytes | Sequence[tuple[int, int, int]]
@@ -71,6 +68,10 @@ class PixelGrid:
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "samples", samples)
+
+    def __repr__(self) -> str:
+        # The samples are the raster, too long to show.
+        return f"{type(self).__qualname__}(width={self.width!r}, height={self.height!r})"
 
     @property
     def pixels(self) -> tuple[tuple[int, int, int], ...]:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .circle import PERIOD, Arc, wrap
 
 # Segment offsets this close to a full turn are knots that coincide up to
@@ -11,8 +10,7 @@ from .circle import PERIOD, Arc, wrap
 _SNAP = 1e-6
 
 
-@dataclass(frozen=True)
-class CircularTrapezoid:
+class CircularTrapezoid(Value):
     """Trapezoidal membership function wrapped onto the hue circle.
 
     The four knots run in ascending circular order ``a -> b -> c -> d``: the
@@ -26,17 +24,11 @@ class CircularTrapezoid:
     evaluation and alpha-cuts never branch on the 0/360 seam.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
-    _rise: float = field(init=False, repr=False, compare=False)
-    _core_end: float = field(init=False, repr=False, compare=False)
-    _span: float = field(init=False, repr=False, compare=False)
+    __match_args__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, wrap(getattr(self, name)))
+    def __init__(self, a: float, b: float, c: float, d: float) -> None:
+        for name, knot in zip(self.__match_args__, (a, b, c, d)):
+            object.__setattr__(self, name, wrap(knot))
         rise = self._segment(self.a, self.b)
         plateau = self._segment(self.b, self.c)
         fall = self._segment(self.c, self.d)

@@ -15,9 +15,9 @@ already imports ``partition``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._value import Value
 from .circle import PERIOD, Arc, wrap
 from .partition import HuePartition
 
@@ -29,25 +29,40 @@ class AdjacencyError(ValueError):
     """The two categories are not neighbors on the ring."""
 
 
-@dataclass(frozen=True)
-class CategoryMetrics:
+class CategoryMetrics(Value):
     """One category's row: its cut arc, extent, and neighbor overlaps."""
 
-    name: str
-    wideness_range: Arc
-    wideness: float
-    left_boundary_width: float
-    right_boundary_width: float
+    __match_args__ = (
+        "name", "wideness_range", "wideness", "left_boundary_width", "right_boundary_width"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        wideness_range: Arc,
+        wideness: float,
+        left_boundary_width: float,
+        right_boundary_width: float,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "wideness_range", wideness_range)
+        object.__setattr__(self, "wideness", wideness)
+        object.__setattr__(self, "left_boundary_width", left_boundary_width)
+        object.__setattr__(self, "right_boundary_width", right_boundary_width)
 
 
-@dataclass(frozen=True)
-class AsymmetryReport:
+class AsymmetryReport(Value):
     """Extremes of category extent across a partition."""
 
-    widest: str
-    narrowest: str
-    ratio: float
-    per_category: tuple[CategoryMetrics, ...]
+    __match_args__ = ("widest", "narrowest", "ratio", "per_category")
+
+    def __init__(
+        self, widest: str, narrowest: str, ratio: float, per_category: tuple[CategoryMetrics, ...]
+    ) -> None:
+        object.__setattr__(self, "widest", widest)
+        object.__setattr__(self, "narrowest", narrowest)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "per_category", per_category)
 
 
 def wideness(partition: HuePartition, name: str, alpha: float = 0.5) -> float:
@@ -151,18 +166,20 @@ def asymmetry_report(partition: HuePartition) -> AsymmetryReport:
     )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Value):
     """Outcome of one partition invariant check.
 
     ``worst`` is the checked quantity at its worst point and ``hue`` is
     where that point lies, or None when the quantity is a whole-ring total.
     """
 
-    name: str
-    ok: bool
-    worst: float
-    hue: float | None
+    __match_args__ = ("name", "ok", "worst", "hue")
+
+    def __init__(self, name: str, ok: bool, worst: float, hue: float | None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "worst", worst)
+        object.__setattr__(self, "hue", hue)
 
 
 def _circular_distance(a: float, b: float) -> float:

@@ -13,10 +13,10 @@ to one across the zone, and every crossing sits exactly at 0.5/0.5).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable
 
+from ._value import Value
 from .circle import PERIOD, wrap
 from .fuzzyset import CircularTrapezoid
 
@@ -75,8 +75,7 @@ class InconsistentCoreError(PartitionError):
         )
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
+class BoundarySpec(Value):
     """A half-membership crossing between two adjacent categories.
 
     ``position`` is the hue where the two membership curves cross at 0.5;
@@ -84,17 +83,16 @@ class BoundarySpec:
     the overlap of the two supports).
     """
 
-    position: float
-    width: float
+    __match_args__ = ("position", "width")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", wrap(self.position))
-        if not 0.0 < self.width < PERIOD:
-            raise ValueError(f"transition width must be in (0, 360), got {self.width!r}")
+    def __init__(self, position: float, width: float) -> None:
+        object.__setattr__(self, "position", wrap(position))
+        if not 0.0 < width < PERIOD:
+            raise ValueError(f"transition width must be in (0, 360), got {width!r}")
+        object.__setattr__(self, "width", width)
 
 
-@dataclass(frozen=True)
-class HuePartition:
+class HuePartition(Value):
     """Ordered ring of named categories, built from its boundary list.
 
     ``boundaries[k]`` separates ``names[k]`` from its ring successor, the last
@@ -108,13 +106,11 @@ class HuePartition:
     segment table derived from the knots on first use.
     """
 
-    names: tuple[str, ...]
-    boundaries: tuple[BoundarySpec, ...]
-    sets: tuple[CircularTrapezoid, ...] = field(init=False, repr=False, compare=False)
+    __match_args__ = ("names", "boundaries")
 
-    def __post_init__(self) -> None:
+    def __init__(self, names: Iterable[str], boundaries: Iterable[BoundarySpec]) -> None:
         # Tuples keep the partition hashable and equal to one built from lists.
-        names, boundaries = tuple(self.names), tuple(self.boundaries)
+        names, boundaries = tuple(names), tuple(boundaries)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "boundaries", boundaries)
         n = len(boundaries)
@@ -207,33 +203,43 @@ class HuePartition:
         )
         return tuple(knots), active
 
-    def _active(self, hue: float) -> _Active:
+    def _active(self, hue: float) -> tuple[float, _Active]:
+        """``hue`` wrapped into [0, 360] and the categories active there.
+
+        Lookups evaluate at the wrapped hue: for a hue far outside the
+        circle, such as 1e20, ``hue - a`` rounds the knot ``a`` away, while
+        ``hue % 360`` is exact.
+        """
         wrapped = hue % PERIOD
         # NaN and both infinities leave NaN here.
         if wrapped != wrapped:
             raise ValueError(f"hue must be finite, got {hue!r}")
         knots, active = self._segments
-        return active[bisect_right(knots, wrapped) - 1]
+        return wrapped, active[bisect_right(knots, wrapped) - 1]
 
     def memberships(self, hue: float) -> dict[str, float]:
         """All category memberships at ``hue``, in ring order.
 
         At most two entries are nonzero and the values sum to one. A hue
-        that is NaN or infinite raises ValueError.
+        outside [0, 360) is evaluated at its position on the circle, ``hue %
+        360``; one that is NaN or infinite raises ValueError.
         """
         names = self.names
         values = dict.fromkeys(names, 0.0)
-        for i, t in self._active(hue):
+        hue, active = self._active(hue)
+        for i, t in active:
             values[names[i]] = t.membership(hue)
         return values
 
     def category_of(self, hue: float) -> str:
         """Crisp winner at ``hue``; exact ties go to the earlier ring entry.
 
-        A hue that is NaN or infinite raises ValueError.
+        Like :meth:`memberships`, it evaluates at ``hue % 360``, and a hue
+        that is NaN or infinite raises ValueError.
         """
         best, winner = 0.0, 0
-        for i, t in self._active(hue):
+        hue, active = self._active(hue)
+        for i, t in active:
             m = t.membership(hue)
             if m > best:
                 best, winner = m, i

@@ -8,9 +8,9 @@ order, so identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from html import escape
 
+from ._value import Value
 from .circle import Arc
 from .classify import hsv_to_rgb
 from .partition import HuePartition
@@ -18,22 +18,29 @@ from .partition import HuePartition
 _SVG_NS = "http://www.w3.org/2000/svg"
 
 
-@dataclass(frozen=True)
-class PlotConfig:
-    width_px: int = 900
-    height_px: int = 300
-    alpha_line: float = 0.5
-    sample_step: float = 0.5
-    show_labels: bool = True
+class PlotConfig(Value):
+    __match_args__ = ("width_px", "height_px", "alpha_line", "sample_step", "show_labels")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        width_px: int = 900,
+        height_px: int = 300,
+        alpha_line: float = 0.5,
+        sample_step: float = 0.5,
+        show_labels: bool = True,
+    ) -> None:
         # Written so that NaN fails it.
-        if not (self.width_px >= 200 and self.height_px >= 100):
+        if not (width_px >= 200 and height_px >= 100):
             raise ValueError("plot must be at least 200x100 px")
-        if not 0.0 < self.sample_step <= 5.0:
-            raise ValueError(f"sample_step must be in (0, 5], got {self.sample_step!r}")
-        if not 0.0 < self.alpha_line <= 1.0:
-            raise ValueError(f"alpha_line must be in (0, 1], got {self.alpha_line!r}")
+        if not 0.0 < sample_step <= 5.0:
+            raise ValueError(f"sample_step must be in (0, 5], got {sample_step!r}")
+        if not 0.0 < alpha_line <= 1.0:
+            raise ValueError(f"alpha_line must be in (0, 1], got {alpha_line!r}")
+        object.__setattr__(self, "width_px", width_px)
+        object.__setattr__(self, "height_px", height_px)
+        object.__setattr__(self, "alpha_line", alpha_line)
+        object.__setattr__(self, "sample_step", sample_step)
+        object.__setattr__(self, "show_labels", show_labels)
 
 
 def _fmt(value: float) -> str:
@@ -124,7 +131,7 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
         raised: list[list[tuple[int, str]]] = [[] for _ in partition.names]
         for i in range(steps + 1):
             hue = i * cell
-            for index, t in partition._active(hue):
+            for index, t in partition._active(hue)[1]:
                 mu = t.membership(hue)
                 if mu:
                     raised[index].append((i, _fmt(y_of(mu))))

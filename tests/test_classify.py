@@ -135,6 +135,25 @@ class TestClassifyColor:
         assert classify_color(colibri, (255, 0, 0), strict).achromatic_mass == 1.0
         assert classify_color(colibri, (255, 0, 0)).achromatic_mass == 0.0
 
+    def test_bitwise_equal_to_hsv_color_path(self, colibri):
+        """Equal to gating and looking up the ``rgb_to_hsv`` result, on 100k
+        seeded colours under two gates."""
+        gates = (AchromaticGate(), AchromaticGate(0.3, 0.2, 0.9))
+        rng = random.Random(1018)
+        for i in range(100_000):
+            gate = gates[i % 2]
+            rgb = (rng.randrange(256), rng.randrange(256), rng.randrange(256))
+            hsv = rgb_to_hsv(rgb)
+            if (
+                hsv.saturation == 0.0
+                or hsv.saturation < gate.s_min
+                or not gate.v_min <= hsv.value <= gate.v_max
+            ):
+                expected = FuzzyColorDescriptor(dict.fromkeys(colibri.names, 0.0), 1.0)
+            else:
+                expected = FuzzyColorDescriptor(colibri.memberships(hsv.hue), 0.0)
+            assert bits(classify_color(colibri, rgb, gate)) == bits(expected), rgb
+
 
 class TestAchromaticGate:
     @pytest.mark.parametrize(
