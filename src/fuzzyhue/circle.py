@@ -31,32 +31,23 @@ class Arc(Value):
 
     The arc runs in ascending degrees and wraps through 0 when ``end`` is
     numerically below ``start``. Both endpoints are included. ``start ==
-    end`` denotes the empty arc by convention; the full circle needs its own
-    constructor because endpoints alone cannot tell it apart from empty.
+    end`` denotes the empty arc by convention, so an arc never covers the
+    full circle.
     """
 
-    __match_args__ = ("start", "end", "is_full")
+    __match_args__ = ("start", "end")
 
-    def __init__(self, start: float, end: float, is_full: bool = False) -> None:
+    def __init__(self, start: float, end: float) -> None:
         object.__setattr__(self, "start", wrap(start))
         object.__setattr__(self, "end", wrap(end))
-        object.__setattr__(self, "is_full", is_full)
-
-    @classmethod
-    def full_circle(cls) -> Arc:
-        return cls(0.0, 0.0, is_full=True)
 
     @property
     def measure(self) -> float:
         """Arc length in degrees, in [0, 360]."""
-        if self.is_full:
-            return PERIOD
         return (self.end - self.start) % PERIOD
 
     def contains(self, hue: float) -> bool:
         """True when ``hue`` lies on the closed arc (wrap-aware)."""
-        if self.is_full:
-            return True
         m = self.measure
         if m == 0.0:
             return False
@@ -71,12 +62,6 @@ class Arc(Value):
         is disconnected. Arcs that merely touch at a point share measure
         zero and yield nothing, matching the empty-arc convention.
         """
-        if self.is_full:
-            if other.is_full:
-                return [Arc.full_circle()]
-            return [other] if other.measure > 0.0 else []
-        if other.is_full:
-            return [self] if self.measure > 0.0 else []
         m1 = self.measure
         m2 = other.measure
         if m1 == 0.0 or m2 == 0.0:
@@ -89,7 +74,7 @@ class Arc(Value):
             lo = max(0.0, branch)
             hi = min(m1, branch + m2)
             if hi - lo > 0.0:
-                pieces.append(Arc(wrap(self.start + lo), wrap(self.start + hi)))
+                pieces.append(Arc(self.start + lo, self.start + hi))
         return pieces
 
     def midpoint(self) -> float:
@@ -97,6 +82,4 @@ class Arc(Value):
         return wrap(self.start + self.measure / 2.0)
 
     def rotated(self, delta: float) -> Arc:
-        if self.is_full:
-            return self
-        return Arc(wrap(self.start + delta), wrap(self.end + delta))
+        return Arc(self.start + delta, self.end + delta)

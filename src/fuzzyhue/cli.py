@@ -17,13 +17,13 @@ from .circle import wrap
 from .classify import (
     ACHROMATIC,
     AchromaticGate,
+    FuzzyColorDescriptor,
     classify_color,
     dominant_labels,
     image_descriptor,
-    rgb_to_hsv,
 )
 from .formats import export_metrics_csv, format_number, load_partition, read_image
-from .metrics import asymmetry_report, check, metrics_table, wideness
+from .metrics import asymmetry_report, check, metrics_table
 from .partition import HuePartition, builtin_colibri
 from .render import PlotConfig, render_memberships, render_spectrum
 
@@ -164,22 +164,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     partition = _load_model(args)
-    if args.hue is not None:
-        hue = wrap(args.hue)
-        vector = partition.memberships(hue)
-        crisp = partition.category_of(hue)
-        for name, value in vector.items():
-            if value > 0.0:
-                print(f"{name} {value:.3f}")
-    else:
+    if args.hue is None:
         descriptor = classify_color(partition, args.rgb)
-        for name, value in descriptor.labeled_masses():
-            if value > 0.0:
-                print(f"{name} {value:.3f}")
-        if descriptor.achromatic_mass > 0.0:
-            crisp = ACHROMATIC
-        else:
-            crisp = partition.category_of(rgb_to_hsv(args.rgb).hue)
+    else:
+        descriptor = FuzzyColorDescriptor(partition.memberships(wrap(args.hue)), 0.0)
+    for name, value in descriptor.labeled_masses():
+        if value > 0.0:
+            print(f"{name} {value:.3f}")
+    # max keeps the first of equal masses: category_of's ring-order tie rule.
+    masses = descriptor.category_mass
+    crisp = ACHROMATIC if descriptor.achromatic_mass > 0.0 else max(masses, key=masses.get)
     print(f"crisp label: {crisp}")
     return 0
 
@@ -215,15 +209,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     partition = _load_model(args)
     report = asymmetry_report(partition)
-    print(f"widest: {report.widest} (wideness {format_number(wideness(partition, report.widest))})")
-    print(
-        f"narrowest: {report.narrowest} "
-        f"(wideness {format_number(wideness(partition, report.narrowest))})"
-    )
+    widths = {row.name: format_number(row.wideness) for row in report.per_category}
+    print(f"widest: {report.widest} (wideness {widths[report.widest]})")
+    print(f"narrowest: {report.narrowest} (wideness {widths[report.narrowest]})")
     print(f"{report.widest}/{report.narrowest} ratio: {report.ratio:.4g}")
     print("per-category wideness:")
-    for row in report.per_category:
-        print(f"  {row.name} {format_number(row.wideness)}")
+    for name, width in widths.items():
+        print(f"  {name} {width}")
     return 0
 
 
@@ -233,10 +225,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # ConfigError, PartitionError and ImageFormatError are ValueErrors too.
+    # ConfigError, PartitionError and ImageFormatError are ValueErrors too;
+    # OSError covers a path that is missing, a directory or unreadable.
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

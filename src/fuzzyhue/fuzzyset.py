@@ -79,7 +79,7 @@ class CircularTrapezoid(Value):
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         left = self.a + alpha * self._rise
         right = self.a + self._span - alpha * (self._span - self._core_end)
-        return Arc(wrap(left), wrap(right))
+        return Arc(left, right)
 
     def support(self) -> Arc:
         return Arc(self.a, self.d)
@@ -88,9 +88,4 @@ class CircularTrapezoid(Value):
         return Arc(self.b, self.c)
 
     def rotated(self, delta: float) -> CircularTrapezoid:
-        return CircularTrapezoid(
-            wrap(self.a + delta),
-            wrap(self.b + delta),
-            wrap(self.c + delta),
-            wrap(self.d + delta),
-        )
+        return CircularTrapezoid(self.a + delta, self.b + delta, self.c + delta, self.d + delta)

@@ -145,10 +145,10 @@ class HuePartition(Value):
                     f"support of category {name!r} would cover the whole circle "
                     f"({span:.6g} degrees)"
                 )
-            a = wrap(left.position - left.width / 2.0)
-            b = wrap(left.position + left.width / 2.0)
-            c = b if core < 0.0 else wrap(right.position - right.width / 2.0)
-            d = wrap(right.position + right.width / 2.0)
+            a = left.position - left.width / 2.0
+            b = left.position + left.width / 2.0
+            c = b if core < 0.0 else right.position - right.width / 2.0
+            d = right.position + right.width / 2.0
             try:
                 sets.append(CircularTrapezoid(a, b, c, d))
             except ValueError as exc:

@@ -49,10 +49,6 @@ class TestArcMeasure:
         a = Arc(350.0, 30.0)
         assert a.measure == pytest.approx((360.0 - 350.0) + 30.0, abs=1e-9)
 
-    def test_full_circle(self):
-        assert Arc.full_circle().measure == 360.0
-        assert Arc.full_circle().contains(123.4)
-
     @given(
         st.floats(min_value=0, max_value=360, exclude_max=True),
         st.floats(min_value=1e-6, max_value=359.999999),
@@ -143,12 +139,6 @@ class TestArcIntersect:
 
     def test_touching_endpoints_yield_nothing(self):
         assert Arc(0, 90).intersect(Arc(90, 180)) == []
-
-    def test_full_circle_cases(self):
-        full = Arc.full_circle()
-        assert full.intersect(Arc(10, 50)) == [Arc(10, 50)]
-        assert Arc(10, 50).intersect(full) == [Arc(10, 50)]
-        assert full.intersect(full) == [full]
 
     def test_measure_bounded_by_inputs(self):
         rng = random.Random(7)

@@ -1,16 +1,35 @@
+import colorsys
+import contextlib
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuzzyhue import builtin_colibri, cli, dump_partition, export_metrics_csv, metrics_table
+from fuzzyhue import (
+    CircularTrapezoid,
+    builtin_colibri,
+    cli,
+    dump_partition,
+    export_metrics_csv,
+    from_boundaries,
+    metrics_table,
+    wrap,
+)
 from fuzzyhue.cli import cli_main
 from fuzzyhue.render import PlotConfig, render_memberships, render_spectrum
-from conftest import make_p6
+from conftest import make_p6, random_boundary_specs
 from test_metrics import narrow_defect
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -56,6 +75,54 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--rgb", "128,128,128")
         assert code == 0
         assert out == "achromatic 1.000\ncrisp label: achromatic\n"
+
+    @pytest.mark.parametrize(
+        "rgb, expected",
+        [
+            # Hue exactly 40.0: a tie, which goes to the earlier ring entry.
+            ("255,170,0", "orange 0.500\nyellow 0.500\ncrisp label: orange\n"),
+            ("200,150,40", "orange 0.396\nyellow 0.604\ncrisp label: yellow\n"),
+        ],
+    )
+    def test_rgb_chromatic(self, capsys, rgb, expected):
+        code, out, _ = run(capsys, "classify", "--rgb", rgb)
+        assert (code, out) == (0, expected)
+
+    def test_rgb_converts_once(self, capsys, monkeypatch):
+        calls = []
+        convert = colorsys.rgb_to_hsv
+        monkeypatch.setattr(colorsys, "rgb_to_hsv", lambda *rgb: calls.append(rgb) or convert(*rgb))
+        run(capsys, "classify", "--rgb", "200,150,40")
+        assert len(calls) == 1
+
+    def test_hue_looks_up_once(self, capsys, monkeypatch):
+        calls = []
+        evaluate = CircularTrapezoid.membership
+        monkeypatch.setattr(
+            CircularTrapezoid, "membership", lambda t, hue: calls.append(hue) or evaluate(t, hue)
+        )
+        run(capsys, "classify", "--hue", "50")
+        assert 0 < len(calls) <= 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 12))
+    def test_crisp_label_is_category_of(self, seed, count):
+        # At every knot, one ulp either side of it and every crossing, where
+        # ties and near-ties between neighbours sit.
+        p = from_boundaries(
+            random_boundary_specs(random.Random(seed), count), [f"c{i}" for i in range(count)]
+        )
+        hues = [b.position for b in p.boundaries]
+        for t in p.sets:
+            for knot in (t.a, t.b, t.c, t.d):
+                hues += [knot, math.nextafter(knot, -math.inf), math.nextafter(knot, math.inf)]
+        with mock.patch.object(cli, "builtin_colibri", lambda: p):
+            for hue in hues:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli_main(["classify", f"--hue={hue!r}"]) == 0
+                crisp = out.getvalue().splitlines()[-1]
+                assert crisp == f"crisp label: {p.category_of(wrap(hue))}"
 
     def test_hue_and_rgb_are_exclusive(self, capsys):
         code, _, err = run(capsys, "classify", "--hue", "50", "--rgb", "1,2,3")
@@ -238,6 +305,26 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("label", "{dir}"),
+            ("validate", "--model", "{dir}"),
+            ("plot", "memberships", "--out", "{dir}"),
+        ],
+    )
+    def test_directory_path_is_data_error(self, tmp_path, argv):
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "fuzzyhue.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
@@ -261,8 +348,7 @@ class TestDeterminism:
 
 
 def test_library_import_leaves_the_cli_out():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     code = "import sys, fuzzyhue; print(sorted({'argparse', 'fuzzyhue.cli'} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

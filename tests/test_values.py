@@ -33,8 +33,8 @@ TWO_SPECS = (BoundarySpec(10.0, 5.0), BoundarySpec(200.0, 8.0))
 SAMPLES = [
     (
         Arc(370.0, 20.0),
-        ("start", "end", "is_full"),
-        "Arc(start=10.0, end=20.0, is_full=False)",
+        ("start", "end"),
+        "Arc(start=10.0, end=20.0)",
     ),
     (
         CircularTrapezoid(10.0, 20.0, 30.0, 400.0),
@@ -75,7 +75,7 @@ SAMPLES = [
     (
         CategoryMetrics("red", Arc(340.5, 12.5), 32.0, 21.0, 15.0),
         ("name", "wideness_range", "wideness", "left_boundary_width", "right_boundary_width"),
-        "CategoryMetrics(name='red', wideness_range=Arc(start=340.5, end=12.5, is_full=False),"
+        "CategoryMetrics(name='red', wideness_range=Arc(start=340.5, end=12.5),"
         " wideness=32.0, left_boundary_width=21.0, right_boundary_width=15.0)",
     ),
     (
@@ -166,8 +166,8 @@ def test_keyword_construction_with_defaults():
     assert AchromaticGate() == AchromaticGate(s_min=0.15, v_min=0.10, v_max=1.0)
     assert PlotConfig(alpha_line=0.3) == PlotConfig(900, 300, 0.3, 0.5, True)
     assert PlotConfig(show_labels=False).show_labels is False
-    assert Arc(start=5.0, end=6.0) == Arc(5.0, 6.0, False)
-    assert Arc.full_circle() == Arc(0.0, 0.0, is_full=True)
+    assert Arc(start=5.0, end=6.0) == Arc(5.0, 6.0)
+    assert Arc(end=6.0, start=5.0) == Arc(5.0, 6.0)
     assert CircularTrapezoid(a=1.0, b=2.0, c=3.0, d=4.0) == CircularTrapezoid(1.0, 2.0, 3.0, 4.0)
     assert BoundarySpec(width=5.0, position=10.0) == BoundarySpec(10.0, 5.0)
     assert HuePartition(boundaries=TWO_SPECS, names=("a", "b")).names == ("a", "b")
