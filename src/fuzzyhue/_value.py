@@ -1,10 +1,34 @@
-"""The base of the package's immutable value types.
+"""The base of the package's immutable value types, and its number rule.
 
 A plain class with hand-written methods, so that defining a value type costs
 no more at import than any other class.
 """
 
 from __future__ import annotations
+
+
+def _number(
+    name: str, value, low: float, high: float | None = None, *,
+    open_low: bool = False, open_high: bool = False, integral: bool = False,
+):
+    """``value`` unchanged if it is a number in the interval, else ValueError.
+
+    A number is an ``int`` or, unless ``integral``, a ``float``: subclasses
+    included, ``bool`` never. Each end is closed unless opened, and ``high``
+    None is no upper bound, infinity excluded. NaN fails every comparison.
+    """
+    if high is None:
+        high, open_high = float("inf"), True
+    if (
+        isinstance(value, int if integral else (int, float))
+        and not isinstance(value, bool)
+        and (low < value if open_low else low <= value)
+        and (value < high if open_high else value <= high)
+    ):
+        return value
+    rule = "must be an integer in" if integral else "must be in"
+    interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+    raise ValueError(f"{name} {rule} {interval}, got {value!r}")
 
 
 class Value:

@@ -9,7 +9,7 @@ from collections import Counter
 from math import fsum
 from typing import TYPE_CHECKING, Mapping
 
-from ._value import Value
+from ._value import Value, _number
 from .partition import HuePartition
 
 if TYPE_CHECKING:
@@ -47,21 +47,12 @@ class AchromaticGate(Value):
 
     def __init__(self, s_min: float = 0.15, v_min: float = 0.10, v_max: float = 1.0) -> None:
         for name, value in zip(self.__match_args__, (s_min, v_min, v_max)):
-            # NaN fails the comparison, so it cannot switch a gate off.
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _number(name, value, 0, 1))
         if v_min > v_max:
             raise ValueError(f"v_min {v_min!r} exceeds v_max {v_max!r}")
 
 
 DEFAULT_GATE = AchromaticGate()
-
-
-def _check_channel(value: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= 255:
-        raise ValueError(f"RGB channel must be an integer in [0, 255], got {value!r}")
-    return value
 
 
 def _check_rgb(rgb: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -77,7 +68,7 @@ def _check_rgb(rgb: tuple[int, int, int]) -> tuple[int, int, int]:
         and 0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255
     ):
         return r, g, b
-    return _check_channel(r), _check_channel(g), _check_channel(b)
+    return tuple(_number("RGB channel", c, 0, 255, integral=True) for c in (r, g, b))
 
 
 def rgb_to_hsv(rgb: tuple[int, int, int]) -> HsvColor:
@@ -88,7 +79,9 @@ def rgb_to_hsv(rgb: tuple[int, int, int]) -> HsvColor:
 
 
 def hsv_to_rgb(hue: float, saturation: float = 1.0, value: float = 1.0) -> tuple[int, int, int]:
-    """Inverse hexcone conversion to 8-bit RGB (same convention as rgb_to_hsv)."""
+    """Inverse hexcone conversion to 8-bit RGB; ``saturation`` and ``value`` in [0, 1]."""
+    _number("saturation", saturation, 0, 1)
+    _number("value", value, 0, 1)
     r, g, b = colorsys.hsv_to_rgb((hue % 360.0) / 360.0, saturation, value)
     return round(r * 255), round(g * 255), round(b * 255)
 
@@ -183,8 +176,7 @@ def dominant_labels(descriptor: FuzzyColorDescriptor, k: int = 3) -> list[tuple[
 
     Ties keep ring order (achromatic last), so output is deterministic.
     """
-    if not 1 <= k <= 10:
-        raise ValueError(f"k must be in [1, 10], got {k!r}")
+    _number("k", k, 1, 10, integral=True)
     entries = [(label, mass) for label, mass in descriptor.labeled_masses() if mass > 0.0]
     entries.sort(key=lambda entry: -entry[1])
     return entries[:k]

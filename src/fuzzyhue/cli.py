@@ -9,15 +9,16 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
+from ._value import _number
 from .circle import wrap
 from .classify import (
     ACHROMATIC,
     AchromaticGate,
     FuzzyColorDescriptor,
+    _check_rgb,
     classify_color,
     dominant_labels,
     image_descriptor,
@@ -47,35 +48,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _rgb_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected R,G,B, got {text!r}")
+def _argument(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with its ValueError turned into a usage error."""
     try:
-        r, g, b = (int(p) for p in parts)
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _rgb_triple(text: str) -> tuple[int, int, int]:
+    try:
+        r, g, b = map(int, text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"RGB channels must be integers, got {text!r}")
-    if not all(0 <= v <= 255 for v in (r, g, b)):
-        raise argparse.ArgumentTypeError(f"RGB channels must be in [0, 255], got {text!r}")
-    return r, g, b
+        raise argparse.ArgumentTypeError(f"expected R,G,B integers, got {text!r}") from None
+    return _argument(_check_rgb, (r, g, b))
 
 
-def _in_range(
-    cast, low: float, high: float, *, open_low: bool = False, open_high: bool = False
-):
-    """argparse type: ``cast(text)`` within [low, high], each end open if asked.
-
-    NaN fails both comparisons, so it is refused like any other outlier.
-    """
+def _in_range(cast, low: float, high: float | None, **bounds):
+    """argparse type: ``cast(text)`` checked by the library's number rule."""
 
     def parse(text: str):
-        value = cast(text)
-        above_low = low < value if open_low else low <= value
-        below_high = value < high if open_high else value <= high
-        if not (above_low and below_high):
-            interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
-            raise argparse.ArgumentTypeError(f"must be in {interval}, got {text!r}")
-        return value
+        return _argument(_number, "value", cast(text), low, high, **bounds)
 
     # argparse names the type in its "invalid <type> value" message.
     parse.__name__ = cast.__name__
@@ -84,7 +77,7 @@ def _in_range(
 
 _alpha = _in_range(float, 0, 1, open_low=True)
 _threshold = _in_range(float, 0, 1)
-_finite = _in_range(float, -math.inf, math.inf, open_low=True, open_high=True)
+_finite = _in_range(float, float("-inf"), None, open_low=True)
 
 
 def _add_model_flag(parser: argparse.ArgumentParser) -> None:

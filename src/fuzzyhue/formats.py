@@ -10,7 +10,7 @@ import struct
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from ._value import Value
+from ._value import Value, _number
 from .classify import _check_rgb
 from .metrics import CategoryMetrics
 from .partition import BoundaryOrderError, BoundarySpec, HuePartition, from_boundaries
@@ -52,11 +52,8 @@ class PixelGrid(Value):
     def __init__(
         self, width: int, height: int, pixels: bytes | Sequence[tuple[int, int, int]]
     ) -> None:
-        for size in (width, height):
-            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
-                raise ValueError(
-                    f"image dimensions must be positive integers, got {width!r}x{height!r}"
-                )
+        _number("width", width, 1, integral=True)
+        _number("height", height, 1, integral=True)
         if isinstance(pixels, bytes):
             samples = pixels
         else:
@@ -128,22 +125,13 @@ def load_partition(text: str) -> HuePartition:
     )
     specs = []
     for i, entry in enumerate(raw_boundaries):
-        _require(isinstance(entry, dict), f"boundaries[{i}] must be an object")
-        position = entry.get("position")
-        width = entry.get("width")
-        _require(
-            isinstance(position, (int, float)) and not isinstance(position, bool),
-            f"boundaries[{i}].position must be a number",
-        )
-        _require(
-            isinstance(width, (int, float)) and not isinstance(width, bool),
-            f"boundaries[{i}].width must be a number",
-        )
-        _require(
-            0 <= position < 360,
-            f"boundaries[{i}].position must lie in [0, 360), got {position}",
-        )
-        _require(0 < width < 360, f"boundaries[{i}].width must lie in (0, 360), got {width}")
+        at = f"boundaries[{i}]"
+        _require(isinstance(entry, dict), f"{at} must be an object")
+        try:
+            position = _number(f"{at}.position", entry.get("position"), 0, 360, open_high=True)
+            width = _number(f"{at}.width", entry.get("width"), 0, 360, open_low=True, open_high=True)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         specs.append(BoundarySpec(float(position), float(width)))
     try:
         return from_boundaries(specs, names)

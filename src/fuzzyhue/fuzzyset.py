@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ._value import Value
+from ._value import Value, _number
 from .circle import PERIOD, Arc, wrap
 
 # Segment offsets this close to a full turn are knots that coincide up to
@@ -40,7 +40,7 @@ class CircularTrapezoid(Value):
         if span >= PERIOD:
             raise ValueError(
                 f"support of {span:.6g} degrees covers the whole circle; "
-                "knots must be in ascending circular order with total span < 360"
+                "knots must run in ascending circular order with total span < 360"
             )
         object.__setattr__(self, "_rise", rise)
         object.__setattr__(self, "_core_end", rise + plateau)
@@ -56,7 +56,7 @@ class CircularTrapezoid(Value):
         return self._core_end == self._rise
 
     def membership(self, hue: float) -> float:
-        """Membership degree of ``hue``, in [0, 1]."""
+        """Membership degree of ``hue``, in [0, 1]; NaN or infinite raises ValueError."""
         rel = (hue - self.a) % PERIOD
         if rel <= 0.0 or rel >= self._span:
             return 0.0
@@ -64,7 +64,10 @@ class CircularTrapezoid(Value):
             return rel / self._rise
         if rel <= self._core_end:
             return 1.0
-        return (self._span - rel) / (self._span - self._core_end)
+        if rel < self._span:
+            return (self._span - rel) / (self._span - self._core_end)
+        # Only NaN, left by a NaN or infinite hue, fails every test above.
+        raise ValueError(f"hue must be finite, got {hue!r}")
 
     __call__ = membership
 
@@ -73,10 +76,10 @@ class CircularTrapezoid(Value):
 
         Endpoints come from inverting the linear shoulders, so the cut at
         0.5 lands exactly on the half-crossing hues and the cut at 1 is the
-        core.
+        core. A triangle's cut at 1 is its apex alone, which comes back as
+        the empty arc ``Arc(b, b)`` with measure 0.
         """
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+        _number("alpha", alpha, 0, 1, open_low=True)
         left = self.a + alpha * self._rise
         right = self.a + self._span - alpha * (self._span - self._core_end)
         return Arc(left, right)
@@ -85,6 +88,7 @@ class CircularTrapezoid(Value):
         return Arc(self.a, self.d)
 
     def core(self) -> Arc:
+        """The arc [b, c]; a triangle's single-point core is the empty ``Arc(b, b)``."""
         return Arc(self.b, self.c)
 
     def rotated(self, delta: float) -> CircularTrapezoid:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from ._value import Value
+from ._value import Value, _number
 from .circle import PERIOD, Arc, wrap
 from .partition import HuePartition
 
@@ -78,10 +78,8 @@ def wideness_numeric(
     The grid always covers the full circle, so wrap-around cuts need no
     special handling. Accurate to within one grid cell of the closed form.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"step must be in (0, 1], got {step!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    _number("step", step, 0.01, 1)
+    _number("alpha", alpha, 0, 1, open_low=True)
     t = partition.fuzzy_set(name)
     n = int(round(PERIOD / step))
     cell = PERIOD / n

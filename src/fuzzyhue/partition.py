@@ -16,7 +16,7 @@ from bisect import bisect_right
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from ._value import Value
+from ._value import Value, _number
 from .circle import PERIOD, wrap
 from .fuzzyset import CircularTrapezoid
 
@@ -87,8 +87,7 @@ class BoundarySpec(Value):
 
     def __init__(self, position: float, width: float) -> None:
         object.__setattr__(self, "position", wrap(position))
-        if not 0.0 < width < PERIOD:
-            raise ValueError(f"transition width must be in (0, 360), got {width!r}")
+        _number("transition width", width, 0, 360, open_low=True, open_high=True)
         object.__setattr__(self, "width", width)
 
 

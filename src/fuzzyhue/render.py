@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from html import escape
 
-from ._value import Value
+from ._value import Value, _number
 from .circle import Arc
 from .classify import hsv_to_rgb
 from .partition import HuePartition
@@ -29,13 +29,13 @@ class PlotConfig(Value):
         sample_step: float = 0.5,
         show_labels: bool = True,
     ) -> None:
-        # Written so that NaN fails it.
-        if not (width_px >= 200 and height_px >= 100):
-            raise ValueError("plot must be at least 200x100 px")
-        if not 0.0 < sample_step <= 5.0:
-            raise ValueError(f"sample_step must be in (0, 5], got {sample_step!r}")
-        if not 0.0 < alpha_line <= 1.0:
-            raise ValueError(f"alpha_line must be in (0, 1], got {alpha_line!r}")
+        _number("width_px", width_px, 200, integral=True)
+        _number("height_px", height_px, 100, integral=True)
+        # The floor bounds a figure at 36,000 samples.
+        _number("sample_step", sample_step, 0.01, 5)
+        _number("alpha_line", alpha_line, 0, 1, open_low=True)
+        if not isinstance(show_labels, bool):
+            raise ValueError(f"show_labels must be a bool, got {show_labels!r}")
         object.__setattr__(self, "width_px", width_px)
         object.__setattr__(self, "height_px", height_px)
         object.__setattr__(self, "alpha_line", alpha_line)

@@ -325,6 +325,40 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("metrics", "--alpha", "0"), 1, "argument --alpha: value must be in (0, 1], got 0.0"),
+            (("classify", "--rgb", "1,2,300"), 1, "RGB channel must be an integer in [0, 255]"),
+            (("classify", "--rgb", "1,2"), 1, "expected R,G,B integers, got '1,2'"),
+            (("validate", "--model", "{model}"), 2, "boundaries[0].width must be in (0, 360)"),
+        ],
+    )
+    def test_refused_numbers_name_the_rule(self, tmp_path, argv, code, message):
+        model = tmp_path / "width-true.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "period": 360,
+                    "categories": [{"name": "a"}, {"name": "b"}],
+                    "boundaries": [
+                        {"position": 90.0, "width": True},
+                        {"position": 270.0, "width": 20.0},
+                    ],
+                }
+            )
+        )
+        argv = [arg.format(model=model) for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "fuzzyhue.cli", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (code, "")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

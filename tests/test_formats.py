@@ -357,7 +357,7 @@ class TestPixelGrid:
     @pytest.mark.parametrize("axis", ["width", "height"])
     def test_dimensions_must_be_positive_ints(self, size, axis):
         dims = {"width": 2, "height": 1, axis: size}
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match=f"{axis} must be an integer in"):
             PixelGrid(dims["width"], dims["height"], bytes(6))
 
     def test_triples_and_bytes_build_the_same_grid(self):

@@ -119,6 +119,13 @@ class TestAlphaCut:
         green = CircularTrapezoid(46.0, 65.0, 128.0, 175.0)
         assert green.alpha_cut(0.5) == Arc(55.5, 151.5)
 
+    def test_triangle_cut_at_one_is_the_empty_arc(self):
+        t = CircularTrapezoid(0.0, 1.0, 1.0, 2.0)
+        cut = t.alpha_cut(1.0)
+        assert cut == Arc(1.0, 1.0) == t.core()
+        assert cut.measure == 0.0
+        assert not cut.contains(1.0)
+
     def test_cut_at_one_is_core(self):
         green = CircularTrapezoid(46.0, 65.0, 128.0, 175.0)
         assert green.alpha_cut(1.0) == green.core()
@@ -139,8 +146,12 @@ class TestAlphaCut:
         outer = t.alpha_cut(lo)
         inner = t.alpha_cut(hi)
         assert inner.measure <= outer.measure + 1e-9
-        assert outer.contains(inner.start)
-        assert outer.contains(inner.end)
+        if outer.measure == 0.0:
+            # Only a triangle's cut at 1 is empty, so the inner cut is too.
+            assert inner.measure == 0.0
+        else:
+            assert outer.contains(inner.start)
+            assert outer.contains(inner.end)
 
     @settings(max_examples=25, deadline=None)
     @given(trapezoids(), st.floats(min_value=0.05, max_value=1.0))

@@ -206,11 +206,11 @@ def test_types_differ_even_with_equal_fields():
         (lambda: AchromaticGate(s_min=math.nan), ValueError, r"s_min must be in \[0, 1\], got nan"),
         (lambda: AchromaticGate(v_min=0.6, v_max=0.5), ValueError, "v_min 0.6 exceeds v_max 0.5"),
         (lambda: AchromaticGate(v_min=2.0, v_max=0.5), ValueError, r"v_min must be in \[0, 1\]"),
-        (lambda: PixelGrid(2.0, 1, b"\x00" * 6), ValueError, "positive integers, got 2.0x1"),
+        (lambda: PixelGrid(2.0, 1, b"\x00" * 6), ValueError, r"width must be an integer in \[1, inf\), got 2.0"),
         (lambda: PixelGrid(1, 1, b"\x00" * 4), ValueError, "4 sample bytes do not hold 1x1"),
         (lambda: PixelGrid(1, 1, [(0, 0, 256)]), ValueError, "RGB channel"),
-        (lambda: PlotConfig(width_px=math.nan), ValueError, "at least 200x100"),
-        (lambda: PlotConfig(sample_step=0.0, alpha_line=2.0), ValueError, r"sample_step must be in \(0, 5\]"),
+        (lambda: PlotConfig(width_px=math.nan), ValueError, r"width_px must be an integer in \[200, inf\), got nan"),
+        (lambda: PlotConfig(sample_step=0.0, alpha_line=2.0), ValueError, r"sample_step must be in \[0.01, 5\]"),
         (lambda: PlotConfig(alpha_line=math.nan), ValueError, r"alpha_line must be in \(0, 1\], got nan"),
         (lambda: HsvColor(1.0, 2.0), TypeError, "value"),
         (lambda: Check("x", True, 0.0), TypeError, "hue"),
