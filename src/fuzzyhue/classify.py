@@ -10,6 +10,7 @@ from math import fsum
 from typing import TYPE_CHECKING, Mapping
 
 from ._value import Value, _number
+from .circle import wrap
 from .partition import HuePartition
 
 if TYPE_CHECKING:
@@ -79,10 +80,10 @@ def rgb_to_hsv(rgb: tuple[int, int, int]) -> HsvColor:
 
 
 def hsv_to_rgb(hue: float, saturation: float = 1.0, value: float = 1.0) -> tuple[int, int, int]:
-    """Inverse hexcone conversion to 8-bit RGB; ``saturation`` and ``value`` in [0, 1]."""
+    """Inverse hexcone of a finite hue to 8-bit RGB; ``saturation`` and ``value`` in [0, 1]."""
     _number("saturation", saturation, 0, 1)
     _number("value", value, 0, 1)
-    r, g, b = colorsys.hsv_to_rgb((hue % 360.0) / 360.0, saturation, value)
+    r, g, b = colorsys.hsv_to_rgb(wrap(hue) / 360.0, saturation, value)
     return round(r * 255), round(g * 255), round(b * 255)
 
 

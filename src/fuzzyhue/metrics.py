@@ -111,17 +111,12 @@ def boundary_width(partition: HuePartition, name_a: str, name_b: str) -> float:
 
 
 def _zone_measure(partition: HuePartition, k: int) -> float:
-    """Overlap of supports of ring neighbors k and k+1 at boundary k."""
+    """Measure of the piece of the supports' overlap of ring neighbors k and k+1
+    that contains boundary k's position, or 0.0 if no piece does."""
     n = len(partition)
     pieces = partition.sets[k].support().intersect(partition.sets[(k + 1) % n].support())
-    if len(pieces) == 1:
-        return pieces[0].measure
-    # 2-category ring: both zones come back; keep the one at this boundary.
     position = partition.boundaries[k].position
-    for piece in pieces:
-        if piece.contains(position):
-            return piece.measure
-    return 0.0
+    return next((piece.measure for piece in pieces if piece.contains(position)), 0.0)
 
 
 def metrics_table(partition: HuePartition, alpha: float = 0.5) -> list[CategoryMetrics]:

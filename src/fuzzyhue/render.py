@@ -29,8 +29,8 @@ class PlotConfig(Value):
         sample_step: float = 0.5,
         show_labels: bool = True,
     ) -> None:
-        _number("width_px", width_px, 200, integral=True)
-        _number("height_px", height_px, 100, integral=True)
+        _number("width_px", width_px, 200, 100_000, integral=True)
+        _number("height_px", height_px, 100, 100_000, integral=True)
         # The floor bounds a figure at 36,000 samples.
         _number("sample_step", sample_step, 0.01, 5)
         _number("alpha_line", alpha_line, 0, 1, open_low=True)
@@ -52,16 +52,21 @@ def _hex_color(hue: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _category_anchor(partition: HuePartition, index: int) -> float:
-    """Representative hue of a category: the midpoint of its core."""
-    return partition.sets[index].core().midpoint()
+def _frame(cfg: PlotConfig, left: float, right: float):
+    """Both figures' opening parts (``<svg>`` and background), their ``x_of``
+    between the side margins, and the grid: ``steps`` cells of ``cell`` degrees."""
+    plot_w = cfg.width_px - left - right
 
+    def x_of(deg: float) -> float:
+        return left + deg / 360.0 * plot_w
 
-def _svg_open(cfg: PlotConfig) -> str:
-    return (
+    steps = int(round(360.0 / cfg.sample_step))
+    parts = [
         f'<svg xmlns="{_SVG_NS}" width="{cfg.width_px}" height="{cfg.height_px}" '
-        f'viewBox="0 0 {cfg.width_px} {cfg.height_px}">'
-    )
+        f'viewBox="0 0 {cfg.width_px} {cfg.height_px}">',
+        f'<rect class="bg" x="0" y="0" width="{cfg.width_px}" height="{cfg.height_px}" fill="#ffffff"/>',
+    ]
+    return parts, x_of, steps, 360.0 / steps
 
 
 def _text(x: float, y: float, content: str, cls: str, anchor: str = "middle") -> str:
@@ -80,27 +85,17 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
     """
     cfg = config or PlotConfig()
     left, right, top, bottom = 45.0, 15.0, 15.0, 35.0
-    plot_w = cfg.width_px - left - right
+    parts, x_of, steps, cell = _frame(cfg, left, right)
     plot_h = cfg.height_px - top - bottom
-
-    def x_of(deg: float) -> float:
-        return left + deg / 360.0 * plot_w
 
     def y_of(mu: float) -> float:
         return top + (1.0 - mu) * plot_h
 
-    steps = int(round(360.0 / cfg.sample_step))
-    cell = 360.0 / steps
-
-    parts = [_svg_open(cfg)]
-    parts.append(
-        f'<rect class="bg" x="0" y="0" width="{cfg.width_px}" height="{cfg.height_px}" fill="#ffffff"/>'
-    )
     # Axes and ticks.
     axis = 'stroke="#444444" stroke-width="1"'
     parts.append(
         f'<line class="axis" x1="{_fmt(left)}" y1="{_fmt(y_of(0.0))}" '
-        f'x2="{_fmt(left + plot_w)}" y2="{_fmt(y_of(0.0))}" {axis}/>'
+        f'x2="{_fmt(x_of(360.0))}" y2="{_fmt(y_of(0.0))}" {axis}/>'
     )
     parts.append(
         f'<line class="axis" x1="{_fmt(left)}" y1="{_fmt(y_of(0.0))}" '
@@ -141,8 +136,10 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
                 samples[i] = xs[i] + y
             yield " ".join(samples)
 
-    for index, (name, points) in enumerate(zip(partition.names, curve_points())):
-        color = _hex_color(_category_anchor(partition, index))
+    # Each category's representative hue: the midpoint of its core.
+    anchors = [t.core().midpoint() for t in partition.sets]
+    for name, anchor, points in zip(partition.names, anchors, curve_points()):
+        color = _hex_color(anchor)
         parts.append(
             f'<polyline class="membership" data-category="{escape(name)}" '
             f'fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
@@ -150,14 +147,13 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
 
     parts.append(
         f'<line class="alpha-line" x1="{_fmt(left)}" y1="{_fmt(y_of(cfg.alpha_line))}" '
-        f'x2="{_fmt(left + plot_w)}" y2="{_fmt(y_of(cfg.alpha_line))}" '
+        f'x2="{_fmt(x_of(360.0))}" y2="{_fmt(y_of(cfg.alpha_line))}" '
         f'stroke="#000000" stroke-width="1" stroke-dasharray="6,4"/>'
     )
 
     if cfg.show_labels:
-        for index, name in enumerate(partition.names):
-            anchor_hue = _category_anchor(partition, index)
-            parts.append(_text(x_of(anchor_hue), top - 3, name, "category-label"))
+        for name, anchor in zip(partition.names, anchors):
+            parts.append(_text(x_of(anchor), top - 3, name, "category-label"))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -172,19 +168,8 @@ def render_spectrum(partition: HuePartition, config: PlotConfig | None = None) -
     """
     cfg = config or PlotConfig()
     left, right, top, bottom = 15.0, 15.0, 15.0, 45.0
-    plot_w = cfg.width_px - left - right
+    parts, x_of, steps, cell = _frame(cfg, left, right)
     bar_h = cfg.height_px - top - bottom
-
-    def x_of(deg: float) -> float:
-        return left + deg / 360.0 * plot_w
-
-    steps = int(round(360.0 / cfg.sample_step))
-    cell = 360.0 / steps
-
-    parts = [_svg_open(cfg)]
-    parts.append(
-        f'<rect class="bg" x="0" y="0" width="{cfg.width_px}" height="{cfg.height_px}" fill="#ffffff"/>'
-    )
     edges = [x_of(i * cell) for i in range(steps + 1)]
     y_attr, h_attr = _fmt(top), _fmt(bar_h)
     for i in range(steps):

@@ -151,11 +151,15 @@ def test_membership_is_finite_or_refused(hue):
             assert not math.isfinite(hue)
             continue
         assert is_number(m, 0.0, 1.0), (t, hue, m)
-    with time_budget(BUDGET):
-        try:
-            assert all(type(c) is int and 0 <= c <= 255 for c in hsv_to_rgb(hue))
-        except ValueError:
-            assert not math.isfinite(hue)
+    # At saturation 0 colorsys never reads the hue, so both calls must refuse.
+    for saturation, value in ((1.0, 1.0), (0.0, 0.5)):
+        with time_budget(BUDGET):
+            try:
+                rgb = hsv_to_rgb(hue, saturation, value)
+            except ValueError:
+                assert not math.isfinite(hue)
+                continue
+        assert math.isfinite(hue) and all(type(c) is int and 0 <= c <= 255 for c in rgb), rgb
 
 
 class TestRule:
@@ -207,7 +211,7 @@ def test_hsv_to_rgb_refuses_out_of_range_channels(saturation, value, name):
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: PlotConfig(width_px=900.5), r"width_px must be an integer in \[200, inf\)"),
+        (lambda: PlotConfig(width_px=900.5), r"width_px must be an integer in \[200, 100000\]"),
         (lambda: PlotConfig(height_px=math.inf), r"height_px must be an integer"),
         (lambda: PlotConfig(width_px=True), r"width_px must be an integer"),
         (lambda: PlotConfig(show_labels="no"), "show_labels must be a bool, got 'no'"),
@@ -225,6 +229,21 @@ def test_hsv_to_rgb_refuses_out_of_range_channels(saturation, value, name):
 def test_newly_refused_inputs(build, match):
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize("field", ["width_px", "height_px"])
+def test_plot_sizes_are_bounded(field):
+    # Unbounded, 10**400 px constructs and then overflows in either figure.
+    with pytest.raises(ValueError, match=rf"{field} must be an integer in \[\d+, 100000\], got 1000"):
+        PlotConfig(**{field: 10**400})
+    assert getattr(PlotConfig(**{field: 100_000}), field) == 100_000
+
+
+@pytest.mark.parametrize("saturation", [0.0, 1.0])
+@pytest.mark.parametrize("hue", [math.nan, math.inf, -math.inf])
+def test_hsv_to_rgb_refuses_non_finite_hues(hue, saturation):
+    with pytest.raises(ValueError, match=f"angle must be finite, got {hue!r}"):
+        hsv_to_rgb(hue, saturation, 0.5)
 
 
 def test_domain_edges_are_accepted():

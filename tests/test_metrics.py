@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 
@@ -157,6 +158,41 @@ class TestMetricsTable:
         assert rows["warm"].right_boundary_width == pytest.approx(10.0, abs=1e-9)
         assert rows["warm"].left_boundary_width == pytest.approx(20.0, abs=1e-9)
         assert rows["cool"].right_boundary_width == pytest.approx(20.0, abs=1e-9)
+
+    def test_two_category_zone_that_vanishes_reads_zero(self):
+        # The ulp-wide zone at 8.607 drops out of the support overlap, which
+        # leaves one piece: the other zone, which must not be reported here.
+        specs = [BoundarySpec(8.60744456874241, 8.881784197001252e-15),
+                 BoundarySpec(116.08431337406991, 24.99763220342407)]
+        a, b = metrics_table(from_boundaries(specs, ("a", "b")))
+        assert a.right_boundary_width == b.left_boundary_width == 0.0
+        assert a.left_boundary_width == b.right_boundary_width == pytest.approx(24.99763220342407)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 16),
+        ulps=st.lists(st.sampled_from([0, 2, 3, 8, 64]), min_size=16, max_size=16),
+        delta=st.floats(0.0, 360.0, exclude_max=True),
+    )
+    def test_zone_is_the_overlap_piece_at_its_boundary(self, seed, count, ulps, delta):
+        # The ring turns by ``delta``; a nonzero entry of ``ulps`` then makes
+        # that zone so many ulps of its position wide.
+        specs = []
+        for spec, k in zip(random_boundary_specs(random.Random(seed), count), ulps):
+            position = (spec.position + delta) % 360.0
+            specs.append(BoundarySpec(position, k * math.ulp(max(position, 1.0)) if k else spec.width))
+        partition = from_boundaries(specs, tuple(f"c{i}" for i in range(count)))
+        rows = metrics_table(partition)
+        for k, boundary in enumerate(partition.boundaries):
+            this, after = partition.sets[k], partition.sets[(k + 1) % count]
+            pieces = this.support().intersect(after.support())
+            at_boundary = [piece.measure for piece in pieces if piece.contains(boundary.position)]
+            assert len(at_boundary) <= 1, pieces
+            expected = at_boundary[0] if at_boundary else 0.0
+            assert rows[k].right_boundary_width == expected
+            assert rows[(k + 1) % count].left_boundary_width == expected
+            assert expected == pytest.approx(boundary.width, abs=1e-9)
 
 
 class TestAsymmetryReport:

@@ -14,6 +14,7 @@ from fuzzyhue import (
     BoundarySpec,
     CircularTrapezoid,
     PlotConfig,
+    builtin_colibri,
     from_boundaries,
     render_memberships,
     render_spectrum,
@@ -37,6 +38,10 @@ def by_class(svg_text, cls):
 def two_category_partition():
     specs = [BoundarySpec(90.0, 10.0), BoundarySpec(270.0, 20.0)]
     return from_boundaries(specs, ("warm", "cool"))
+
+
+def rotated_builtin():
+    return builtin_colibri().rotated(30)
 
 
 class TestPlotConfig:
@@ -231,29 +236,53 @@ def test_markup_in_category_names_is_escaped(render):
     assert categories in ([], list(names))
 
 
-# SHA-256 of both figures for the builtin ring, recorded from the
-# per-category renderer that sampled every category at every x.
+# SHA-256 of both figures, keyed by the partition's builder. The builtin
+# ring's were recorded from the per-category renderer that sampled every
+# category at every x. Those of the 2-category ring and of the rotated
+# builtin ring (magenta straddles 0, and the magenta/red zone starts at 0)
+# were recorded before the figures shared one frame.
 SVG_DIGESTS = {
-    (render_memberships, PlotConfig()): (
+    (builtin_colibri, render_memberships, PlotConfig()): (
         "b987f1331eac324da5897b7c87575cf74d90657a4967bc551e072f6334c2b2e5"
     ),
-    (render_spectrum, PlotConfig()): (
+    (builtin_colibri, render_spectrum, PlotConfig()): (
         "9ea75f26a9f5396bd2c81cacda3dcc9f6e1446223e561b99a08bb770b012a2f3"
     ),
-    (render_memberships, WIDE_CONFIG): (
+    (builtin_colibri, render_memberships, WIDE_CONFIG): (
         "95f436f5990d140fc4c2cd863d7c537832c7d2ba29ce34927995f226ba18fbf1"
     ),
-    (render_spectrum, WIDE_CONFIG): (
+    (builtin_colibri, render_spectrum, WIDE_CONFIG): (
         "e18c29e851ab4a272780c5f60a4db223460033a551a06a5501a84eef9330cb7f"
+    ),
+    (two_category_partition, render_memberships, WIDE_CONFIG): (
+        "fb7f176bf0f8f1c90b6870a28acf9594fbbdd892e471f944941f488936a5d720"
+    ),
+    (two_category_partition, render_spectrum, WIDE_CONFIG): (
+        "a1547764fd93e485374a8e7689dc1bea251b290e08245be5978acba7595d0c33"
+    ),
+    (rotated_builtin, render_memberships, WIDE_CONFIG): (
+        "8f50e407e37e3cfa51173f10301e6a2123d23c269a3e44e711b4181f58d8e399"
+    ),
+    (rotated_builtin, render_spectrum, WIDE_CONFIG): (
+        "a68ee5e7aeeb305b675e15b120bec9c4dccf762db4a36fd175fc7db9071826a8"
     ),
 }
 
 
 @pytest.mark.parametrize(
-    ("render", "cfg"),
+    ("build", "render", "cfg"),
     list(SVG_DIGESTS),
-    ids=["memberships-default", "spectrum-default", "memberships-wide", "spectrum-wide"],
+    ids=[
+        "memberships-default",
+        "spectrum-default",
+        "memberships-wide",
+        "spectrum-wide",
+        "memberships-two-category-wide",
+        "spectrum-two-category-wide",
+        "memberships-rotated-30-wide",
+        "spectrum-rotated-30-wide",
+    ],
 )
-def test_builtin_svg_bytes_are_pinned(colibri, render, cfg):
-    svg = render(colibri, cfg).encode("utf-8")
-    assert hashlib.sha256(svg).hexdigest() == SVG_DIGESTS[render, cfg]
+def test_builtin_svg_bytes_are_pinned(build, render, cfg):
+    svg = render(build(), cfg).encode("utf-8")
+    assert hashlib.sha256(svg).hexdigest() == SVG_DIGESTS[build, render, cfg]

@@ -209,7 +209,7 @@ def test_types_differ_even_with_equal_fields():
         (lambda: PixelGrid(2.0, 1, b"\x00" * 6), ValueError, r"width must be an integer in \[1, inf\), got 2.0"),
         (lambda: PixelGrid(1, 1, b"\x00" * 4), ValueError, "4 sample bytes do not hold 1x1"),
         (lambda: PixelGrid(1, 1, [(0, 0, 256)]), ValueError, "RGB channel"),
-        (lambda: PlotConfig(width_px=math.nan), ValueError, r"width_px must be an integer in \[200, inf\), got nan"),
+        (lambda: PlotConfig(width_px=math.nan), ValueError, r"width_px must be an integer in \[200, 100000\], got nan"),
         (lambda: PlotConfig(sample_step=0.0, alpha_line=2.0), ValueError, r"sample_step must be in \[0.01, 5\]"),
         (lambda: PlotConfig(alpha_line=math.nan), ValueError, r"alpha_line must be in \(0, 1\], got nan"),
         (lambda: HsvColor(1.0, 2.0), TypeError, "value"),
