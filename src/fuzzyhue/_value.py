@@ -7,6 +7,21 @@ no more at import than any other class.
 from __future__ import annotations
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the digit count of an int too long to convert."""
+    try:
+        return repr(value)
+    except ValueError:
+        # Python refuses to convert an int of more than 4,300 digits.
+        if not isinstance(value, int):
+            raise
+        n = abs(value)
+        digits = max(0, int((n.bit_length() - 1) * 0.30102999566398120) - 1)
+        while 10**digits <= n:
+            digits += 1
+        return f"an int of {digits} digits"
+
+
 def _number(
     name: str, value, low: float, high: float | None = None, *,
     open_low: bool = False, open_high: bool = False, integral: bool = False,
@@ -28,7 +43,7 @@ def _number(
         return value
     rule = "must be an integer in" if integral else "must be in"
     interval = f"{'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
-    raise ValueError(f"{name} {rule} {interval}, got {value!r}")
+    raise ValueError(f"{name} {rule} {interval}, got {_shown(value)}")
 
 
 class Value:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Value
+from ._value import Value, _shown
 
 PERIOD = 360.0
 
@@ -19,8 +19,13 @@ TOL = 1e-9
 
 def wrap(angle: float) -> float:
     """Normalize an angle in degrees to [0, 360)."""
-    if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
+    try:
+        finite = math.isfinite(angle)
+    except OverflowError:
+        # An int too large for a float.
+        finite = False
+    if not finite:
+        raise ValueError(f"angle must be finite, got {_shown(angle)}")
     h = angle % PERIOD
     # Tiny negative angles round up to exactly the period under fmod.
     return 0.0 if h >= PERIOD else h
@@ -82,4 +87,6 @@ class Arc(Value):
         return wrap(self.start + self.measure / 2.0)
 
     def rotated(self, delta: float) -> Arc:
+        # An int too large for a float is refused here, not by the sums.
+        wrap(delta)
         return Arc(self.start + delta, self.end + delta)

@@ -23,6 +23,9 @@ ACHROMATIC = "achromatic"
 # value is 0x00RRGGBB.
 _RGB_WORD_OFFSETS = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 
+# The float colorsys sees for each 8-bit channel value, x / 255.0.
+_UNIT = tuple(x / 255.0 for x in range(256))
+
 
 class HsvColor(Value):
     """Hexcone HSV triple; ``hue`` is None exactly when saturation is 0."""
@@ -155,14 +158,36 @@ def image_descriptor(
     # apart: a category may be named like the achromatic label.
     terms = [[] for _ in partition.names]
     gray = 0
+    unit = _UNIT
+    s_min, v_min, v_max = gate.s_min, gate.v_min, gate.v_max
     for key, count in Counter(memoryview(words).cast("I")).items():
-        h, s, v = colorsys.rgb_to_hsv(
-            (key >> 16) / 255.0, (key >> 8 & 255) / 255.0, (key & 255) / 255.0
-        )
-        if _is_gray(s, v, gate):
+        r, g, b = key >> 16, key >> 8 & 255, key & 255
+        if r > g:
+            hi, lo = r, g
+        else:
+            hi, lo = g, r
+        if b > hi:
+            hi = b
+        elif b < lo:
+            lo = b
+        # _is_gray's rules, tested on the integer max and min before any hue.
+        maxc = unit[hi]
+        if hi == lo or maxc < v_min or maxc > v_max:
             gray += count
             continue
-        hue = h * 360.0
+        rangec = maxc - unit[lo]
+        if rangec / maxc < s_min:
+            gray += count
+            continue
+        # colorsys.rgb_to_hsv's operations in its order, ties going to r,
+        # then g, so the hue is bitwise the one classify_color uses.
+        if r == hi:
+            h = (maxc - unit[b]) / rangec - (maxc - unit[g]) / rangec
+        elif g == hi:
+            h = 2.0 + (maxc - unit[r]) / rangec - (maxc - unit[b]) / rangec
+        else:
+            h = 4.0 + (maxc - unit[g]) / rangec - (maxc - unit[r]) / rangec
+        hue = (h / 6.0) % 1.0 * 360.0
         for i, t in active[bisect_right(knots, hue) - 1]:
             mass = t.membership(hue)
             if mass:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import re
 import struct
 from pathlib import Path
@@ -97,6 +95,10 @@ def load_partition(text: str) -> HuePartition:
     errors (overlapping transition zones) raise PartitionError naming the
     category.
     """
+    # json and csv are loaded on first use, so a start that reads no
+    # config and writes no CSV does not pay for them.
+    import json
+
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -141,6 +143,8 @@ def load_partition(text: str) -> HuePartition:
 
 def dump_partition(partition: HuePartition) -> str:
     """Config document for a partition, loadable by :func:`load_partition`."""
+    import json
+
     doc = {
         "period": 360,
         "categories": [{"name": name} for name in partition.names],
@@ -158,6 +162,8 @@ def format_number(value: float) -> str:
 
 def export_metrics_csv(rows: Sequence[CategoryMetrics]) -> str:
     """Metrics table as CSV with LF line endings, rows in ring order."""
+    import csv
+
     if not rows:
         raise ValueError("metrics table is empty")
     buffer = io.StringIO()

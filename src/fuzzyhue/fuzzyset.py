@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ._value import Value, _number
+from ._value import Value, _number, _shown
 from .circle import PERIOD, Arc, wrap
 
 # Segment offsets this close to a full turn are knots that coincide up to
@@ -57,7 +57,11 @@ class CircularTrapezoid(Value):
 
     def membership(self, hue: float) -> float:
         """Membership degree of ``hue``, in [0, 1]; NaN or infinite raises ValueError."""
-        rel = (hue - self.a) % PERIOD
+        try:
+            rel = (hue - self.a) % PERIOD
+        except OverflowError:
+            # An int too large for a float; NaN fails every test below.
+            rel = float("nan")
         if rel <= 0.0 or rel >= self._span:
             return 0.0
         if rel < self._rise:
@@ -67,7 +71,7 @@ class CircularTrapezoid(Value):
         if rel < self._span:
             return (self._span - rel) / (self._span - self._core_end)
         # Only NaN, left by a NaN or infinite hue, fails every test above.
-        raise ValueError(f"hue must be finite, got {hue!r}")
+        raise ValueError(f"hue must be finite, got {_shown(hue)}")
 
     __call__ = membership
 
@@ -92,4 +96,6 @@ class CircularTrapezoid(Value):
         return Arc(self.b, self.c)
 
     def rotated(self, delta: float) -> CircularTrapezoid:
+        # An int too large for a float is refused here, not by the sums.
+        wrap(delta)
         return CircularTrapezoid(self.a + delta, self.b + delta, self.c + delta, self.d + delta)

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from ._value import Value, _number
+from ._value import Value, _number, _shown
 from .circle import PERIOD, wrap
 from .fuzzyset import CircularTrapezoid
 
@@ -209,10 +209,14 @@ class HuePartition(Value):
         circle, such as 1e20, ``hue - a`` rounds the knot ``a`` away, while
         ``hue % 360`` is exact.
         """
-        wrapped = hue % PERIOD
+        try:
+            wrapped = hue % PERIOD
+        except OverflowError:
+            # An int too large for a float.
+            wrapped = float("nan")
         # NaN and both infinities leave NaN here.
         if wrapped != wrapped:
-            raise ValueError(f"hue must be finite, got {hue!r}")
+            raise ValueError(f"hue must be finite, got {_shown(hue)}")
         knots, active = self._segments
         return wrapped, active[bisect_right(knots, wrapped) - 1]
 
@@ -246,6 +250,8 @@ class HuePartition(Value):
 
     def rotated(self, delta: float) -> HuePartition:
         """The same partition with every hue shifted by ``delta`` degrees."""
+        # An int too large for a float is refused here, not by the sums.
+        wrap(delta)
         shifted = (BoundarySpec(b.position + delta, b.width) for b in self.boundaries)
         return from_boundaries(shifted, self.names)
 

@@ -8,8 +8,6 @@ order, so identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-from html import escape
-
 from ._value import Value, _number
 from .circle import Arc
 from .classify import hsv_to_rgb
@@ -70,6 +68,9 @@ def _frame(cfg: PlotConfig, left: float, right: float):
 
 
 def _text(x: float, y: float, content: str, cls: str, anchor: str = "middle") -> str:
+    # Loaded on first use: only the figures need it.
+    from html import escape
+
     return (
         f'<text class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}" '
         f'font-family="sans-serif" font-size="11" text-anchor="{anchor}">'
@@ -83,6 +84,8 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
     One polyline per category, sampled every ``sample_step`` degrees across
     the full 0-360 axis; a dashed horizontal line marks ``alpha_line``.
     """
+    from html import escape
+
     cfg = config or PlotConfig()
     left, right, top, bottom = 45.0, 15.0, 15.0, 35.0
     parts, x_of, steps, cell = _frame(cfg, left, right)

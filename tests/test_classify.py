@@ -2,6 +2,7 @@ import colorsys
 import random
 from collections import Counter
 from enum import IntEnum
+from itertools import product
 from math import fsum
 
 import pytest
@@ -11,6 +12,7 @@ from fuzzyhue import (
     AchromaticGate,
     BoundarySpec,
     PixelGrid,
+    builtin_colibri,
     classify_color,
     dominant_labels,
     from_boundaries,
@@ -18,7 +20,7 @@ from fuzzyhue import (
     image_descriptor,
     rgb_to_hsv,
 )
-from fuzzyhue.classify import FuzzyColorDescriptor
+from fuzzyhue.classify import DEFAULT_GATE, FuzzyColorDescriptor
 from conftest import random_boundary_specs
 
 # 8-bit colors whose exact hexcone hue is an integer degree value.
@@ -317,6 +319,67 @@ class TestImageDescriptor:
         d = image_descriptor(ring, grid_of([(0, 255, 0), GRAY]))
         assert d.category_mass == {"warm": 0.0, ACHROMATIC: 0.5, "cool": 0.0}
         assert d.achromatic_mass == 0.5
+
+
+# Rings whose knots are not round numbers, so that an ulp change in a hue
+# moves a shoulder value: the builtin ring rotated, and two categories whose
+# shoulders cover all but 0.02 degrees of the circle.
+EXACTNESS_RINGS = {
+    "builtin": builtin_colibri(),
+    "rotated": builtin_colibri().rotated(77.7777),
+    "rotated-back": builtin_colibri().rotated(-123.456789),
+    "wide-shoulders": from_boundaries(
+        [BoundarySpec(90.0, 179.99), BoundarySpec(270.0, 179.99)], ("a", "b")
+    ),
+}
+OPEN_GATE = AchromaticGate(0.0, 0.0, 1.0)
+# Channel values at both ends and between, so their triples take every
+# channel ordering, with ties at the max, at the min and at both.
+LEVELS = (0, 1, 2, 37, 127, 128, 200, 254, 255)
+
+
+@pytest.mark.parametrize("ring", EXACTNESS_RINGS.values(), ids=EXACTNESS_RINGS.keys())
+class TestPerColourExactness:
+    """``image_descriptor`` of a one-pixel image is bit for bit the
+    ``classify_color`` descriptor of that colour, which converts with
+    ``colorsys``."""
+
+    @staticmethod
+    def check(ring, rgb, gate):
+        one_pixel = PixelGrid(1, 1, bytes(rgb))
+        assert bits(image_descriptor(ring, one_pixel, gate)) == bits(
+            classify_color(ring, rgb, gate)
+        ), (rgb, gate)
+
+    def test_every_gray(self, ring):
+        for v in range(256):
+            for gate in (DEFAULT_GATE, OPEN_GATE):
+                self.check(ring, (v, v, v), gate)
+
+    def test_every_ordering_and_tie(self, ring):
+        for rgb in product(LEVELS, repeat=3):
+            for gate in (DEFAULT_GATE, OPEN_GATE):
+                self.check(ring, rgb, gate)
+
+    def test_thresholds_equal_to_a_colours_own_s_or_v(self, ring):
+        rng = random.Random(1515)
+        for rgb in [*product(LEVELS, repeat=3), *(
+            (rng.randrange(256), rng.randrange(256), rng.randrange(256)) for _ in range(200)
+        )]:
+            _, s, v = colorsys.rgb_to_hsv(*(c / 255.0 for c in rgb))
+            assert v == max(rgb) / 255.0
+            for gate in (
+                AchromaticGate(s_min=s, v_min=0.0),
+                AchromaticGate(s_min=0.0, v_min=v),
+                AchromaticGate(s_min=0.0, v_min=0.0, v_max=v),
+            ):
+                self.check(ring, rgb, gate)
+
+    def test_seeded_sample(self, ring):
+        rng = random.Random(15)
+        for _ in range(5000):
+            rgb = (rng.randrange(256), rng.randrange(256), rng.randrange(256))
+            self.check(ring, rgb, OPEN_GATE)
 
 
 class TestDominantLabels:

@@ -26,6 +26,7 @@ from fuzzyhue import (
     load_partition,
     metrics_table,
     wideness_numeric,
+    wrap,
 )
 from fuzzyhue._value import _number
 from fuzzyhue.classify import hsv_to_rgb
@@ -237,6 +238,48 @@ def test_plot_sizes_are_bounded(field):
     with pytest.raises(ValueError, match=rf"{field} must be an integer in \[\d+, 100000\], got 1000"):
         PlotConfig(**{field: 10**400})
     assert getattr(PlotConfig(**{field: 100_000}), field) == 100_000
+
+
+# Every angle path, with the huge int in the argument that is an angle.
+ANGLE_PATHS = [
+    ("wrap", wrap),
+    ("Arc.start", lambda x: Arc(x, 10.0)),
+    ("Arc.end", lambda x: Arc(10.0, x)),
+    ("Arc.contains", Arc(0.0, 90.0).contains),
+    ("BoundarySpec.position", lambda x: BoundarySpec(x, 5.0)),
+    ("HuePartition.memberships", COLIBRI.memberships),
+    ("HuePartition.category_of", COLIBRI.category_of),
+    ("CircularTrapezoid.membership", YELLOW.membership),
+    ("hsv_to_rgb", hsv_to_rgb),
+    ("Arc.rotated", Arc(0.0, 90.0).rotated),
+    ("CircularTrapezoid.rotated", YELLOW.rotated),
+    ("HuePartition.rotated", COLIBRI.rotated),
+]
+
+
+@pytest.mark.parametrize("call", [p[1] for p in ANGLE_PATHS], ids=[p[0] for p in ANGLE_PATHS])
+@pytest.mark.parametrize(
+    "angle, shown",
+    [(10**400, "1000"), (-(10**400), "-1000"), (10**5000, "an int of 5001 digits")],
+    ids=["1e400", "-1e400", "1e5000"],
+)
+def test_ints_too_large_for_a_float_are_refused_as_angles(call, angle, shown):
+    # Converting such an int to a float raises OverflowError.
+    with pytest.raises(ValueError, match=f"must be finite, got {shown}"):
+        call(angle)
+
+
+@pytest.mark.parametrize("field", ["width_px", "height_px"])
+def test_refusing_an_int_too_long_to_print_names_the_field(field):
+    # repr of an int of more than 4,300 digits raises ValueError itself.
+    message = rf"{field} must be an integer in \[\d+, 100000\], got an int of 5001 digits"
+    with pytest.raises(ValueError, match=message):
+        PlotConfig(**{field: 10**5000})
+    with pytest.raises(ValueError, match=message):
+        PlotConfig(**{field: -(10**5000)})
+    for value in (10**4300, 10**4301 - 1):
+        with pytest.raises(ValueError, match=r"x must be in \[0, 1\], got an int of 4301 digits"):
+            _number("x", value, 0, 1)
 
 
 @pytest.mark.parametrize("saturation", [0.0, 1.0])
