@@ -152,10 +152,10 @@ def image_descriptor(
     words = bytearray(4 * n)
     for channel, offset in enumerate(_RGB_WORD_OFFSETS):
         words[offset::4] = samples[channel::3]
-    knots, active = partition._segments
-    # Zero terms add nothing to an exactly rounded sum, so only nonzero
-    # masses are kept, in one list per category. Gray pixels are counted
-    # apart: a category may be named like the achromatic label.
+    starts, zones = partition._zones
+    # One list of masses per category, for an exactly rounded sum. Gray
+    # pixels are counted apart: a category may be named like the achromatic
+    # label.
     terms = [[] for _ in partition.names]
     gray = 0
     unit = _UNIT
@@ -188,10 +188,14 @@ def image_descriptor(
         else:
             h = 4.0 + (maxc - unit[g]) / rangec - (maxc - unit[r]) / rangec
         hue = (h / 6.0) % 1.0 * 360.0
-        for i, t in active[bisect_right(knots, hue) - 1]:
-            mass = t.membership(hue)
-            if mass:
-                terms[i].append(mass * count)
+        # HuePartition._split inline: k gets 1 - t and j gets t, or 1 on a core.
+        k, j, base, w = zones[bisect_right(starts, hue) - 1]
+        if w:
+            t = (hue - base) % 360.0 / w
+            terms[j].append(t * count)
+            terms[k].append((1.0 - t) * count)
+        else:
+            terms[k].append(count)
     return FuzzyColorDescriptor(
         {name: fsum(masses) / n for name, masses in zip(partition.names, terms)}, gray / n
     )

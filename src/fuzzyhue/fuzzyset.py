@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ._value import Value, _number, _shown
-from .circle import PERIOD, Arc, wrap
+from .circle import PERIOD, TOL, Arc, wrap
 
 # Segment offsets this close to a full turn are knots that coincide up to
 # rounding (e.g. a core computed as b - c = -1e-16); treat them as zero.
@@ -16,8 +16,9 @@ class CircularTrapezoid(Value):
     The four knots run in ascending circular order ``a -> b -> c -> d``: the
     support is the arc (a, d), the core is [b, c] (a single point when
     ``b == c``, which makes the shape a triangle), membership rises linearly
-    0 to 1 on (a, b) and falls linearly 1 to 0 on (c, d). Membership is
-    exactly 0 at and outside the support endpoints and exactly 1 on the core.
+    0 to 1 on (a, b) and falls linearly 1 to 0 on (c, d). It is the
+    reference of the partition checks and metrics, exact only up to rounding:
+    offsets run from ``a``, so near ``c`` and ``d`` a value can be ulps off.
 
     Internally the knots are unrolled onto the real line (offsets from ``a``
     along the ascending direction, total span under a full turn), so
@@ -51,10 +52,6 @@ class CircularTrapezoid(Value):
         m = (hi - lo) % PERIOD
         return 0.0 if m > PERIOD - _SNAP else m
 
-    @property
-    def is_triangle(self) -> bool:
-        return self._core_end == self._rise
-
     def membership(self, hue: float) -> float:
         """Membership degree of ``hue``, in [0, 1]; NaN or infinite raises ValueError."""
         try:
@@ -85,8 +82,10 @@ class CircularTrapezoid(Value):
         """
         _number("alpha", alpha, 0, 1, open_low=True)
         left = self.a + alpha * self._rise
-        right = self.a + self._span - alpha * (self._span - self._core_end)
-        return Arc(left, right)
+        cut = Arc(left, self.a + self._span - alpha * (self._span - self._core_end))
+        # Near a triangle's apex, rounding can end the cut just before it
+        # starts, which would read as nearly the whole circle.
+        return Arc(left, left) if cut.measure > self._span + TOL else cut
 
     def support(self) -> Arc:
         return Arc(self.a, self.d)

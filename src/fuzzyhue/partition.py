@@ -50,10 +50,6 @@ _COLIBRI_BOUNDARIES = (
 
 _CORE_TOL = 1e-9
 
-# The (ring index, set) pairs of the categories that can be nonzero on one
-# segment of the knot table.
-_Active = tuple[tuple[int, CircularTrapezoid], ...]
-
 
 class PartitionError(ValueError):
     """Boundary data cannot produce a valid partition."""
@@ -101,8 +97,10 @@ class HuePartition(Value):
     and derives ``sets``: the category between boundaries L and R gets the
     :class:`CircularTrapezoid` with knots ``L.position -/+ L.width/2`` and
     ``R.position -/+ R.width/2``. Immutable; every query is a pure function.
-    Lookups evaluate only the categories active around a hue, found in a
-    segment table derived from the knots on first use.
+    The trapezoids are the reference for :func:`~fuzzyhue.metrics.check` and
+    the metrics. Lookups read a zone table built from the same knots on
+    first use: inside boundary k's zone the membership moves linearly from
+    category k to k+1, and outside every zone one category has membership 1.
     """
 
     __match_args__ = ("names", "boundaries")
@@ -145,8 +143,15 @@ class HuePartition(Value):
                     f"({span:.6g} degrees)"
                 )
             a = left.position - left.width / 2.0
-            b = left.position + left.width / 2.0
-            c = b if core < 0.0 else right.position - right.width / 2.0
+            b = wrap(left.position + left.width / 2.0)
+            c = wrap(right.position - right.width / 2.0)
+            # The core is the arc from b to c. Where the zones around it touch
+            # or overlap within the tolerance, the rounded c can land just
+            # before b, whatever the sign of the core formula, and the arc
+            # then differs from it by nearly a turn: there is no core, and the
+            # earlier zone keeps the overlap.
+            if abs((c - b) % PERIOD - core) >= PERIOD / 2.0:
+                c = b
             d = right.position + right.width / 2.0
             try:
                 sets.append(CircularTrapezoid(a, b, c, d))
@@ -168,46 +173,37 @@ class HuePartition(Value):
     def fuzzy_set(self, name: str) -> CircularTrapezoid:
         return self.sets[self.index(name)]
 
-    def successor(self, name: str) -> str:
-        return self.names[(self.index(name) + 1) % len(self.names)]
-
     @cached_property
-    def _segments(self) -> tuple[tuple[float, ...], tuple[_Active, ...]]:
-        """``(knots, active)``: the sorted unique knots of ``sets`` and, for the
-        segment from ``knots[j]`` to the next knot (the last one wrapping
-        through 0), the ``(index, set)`` pairs in ring order of every category
-        that can be nonzero on it.
-
-        Category i covers the segments from its ``a`` knot up to its ``d``
-        knot. Each segment also takes the categories of the segment before
-        it: a support computed in floats can end a few ulps past its ``d``
-        knot, and a hue exactly on a knot belongs to both segments it
-        separates. The ``a`` end needs no margin: for a hue short of ``a``,
-        the offset from ``a`` comes out at or past the span end, or exactly 0.
+    def _zones(self) -> tuple[tuple[float, ...], tuple[tuple[int, int, float, float], ...]]:
+        """``(starts, zones)``: the ascending starts of the pieces of the
+        circle, each a category's core or a boundary's zone, and the piece
+        ``(k, j, lo, w)`` at each. On it category k has ``1 - t`` and its
+        successor j has ``t = ((hue - lo) % 360) / w``, bitwise the rise of
+        j's trapezoid; a core has ``w == 0`` and ``t`` 0. A category without
+        a core (``c == b``) has the zone after it start where the zone
+        before it ends. A hue below the first start is on the last piece.
         """
-        knots = sorted({k for t in self.sets for k in (t.a, t.b, t.c, t.d)})
-        count = len(knots)
-        position = {knot: j for j, knot in enumerate(knots)}
-        covered: list[set[int]] = [set() for _ in knots]
-        for i, t in enumerate(self.sets):
-            j, end = position[t.a], position[t.d]
-            while True:
-                covered[j].add(i)
-                j = (j + 1) % count
-                if j == end:
-                    break
-        active = tuple(
-            tuple((i, self.sets[i]) for i in sorted(covered[j - 1] | covered[j]))
-            for j in range(count)
-        )
-        return tuple(knots), active
+        sets = self.sets
+        n = len(sets)
+        pieces = []
+        for k, t in enumerate(sets):
+            j = (k + 1) % n
+            if t.c != t.b:
+                pieces.append((t.b, (k, j, 0.0, 0.0)))
+            lo = sets[j].a
+            pieces.append((t.c, (k, j, lo, (t.d - lo) % PERIOD)))
+        # Every piece is nonempty and the pieces go once round the circle,
+        # so the starts are distinct.
+        starts, zones = zip(*sorted(pieces))
+        return starts, zones
 
-    def _active(self, hue: float) -> tuple[float, _Active]:
-        """``hue`` wrapped into [0, 360] and the categories active there.
+    def _split(self, hue: float) -> tuple[int, int, float]:
+        """``(k, j, t)`` at ``hue``: category k has membership ``1 - t``, its
+        ring successor j has ``t``, and every other category has 0.
 
         Lookups evaluate at the wrapped hue: for a hue far outside the
-        circle, such as 1e20, ``hue - a`` rounds the knot ``a`` away, while
-        ``hue % 360`` is exact.
+        circle, such as 1e20, ``hue - lo`` rounds ``lo`` away, while ``hue %
+        360`` is exact.
         """
         try:
             wrapped = hue % PERIOD
@@ -217,36 +213,35 @@ class HuePartition(Value):
         # NaN and both infinities leave NaN here.
         if wrapped != wrapped:
             raise ValueError(f"hue must be finite, got {_shown(hue)}")
-        knots, active = self._segments
-        return wrapped, active[bisect_right(knots, wrapped) - 1]
+        starts, zones = self._zones
+        k, j, lo, w = zones[bisect_right(starts, wrapped) - 1]
+        return k, j, (wrapped - lo) % PERIOD / w if w else 0.0
 
     def memberships(self, hue: float) -> dict[str, float]:
         """All category memberships at ``hue``, in ring order.
 
-        At most two entries are nonzero and the values sum to one. A hue
+        At most two entries are nonzero and the values sum to exactly one:
+        in binary64, ``t + (1 - t) == 1`` for every ``t`` in [0, 1]. A hue
         outside [0, 360) is evaluated at its position on the circle, ``hue %
         360``; one that is NaN or infinite raises ValueError.
         """
         names = self.names
+        k, j, t = self._split(hue)
         values = dict.fromkeys(names, 0.0)
-        hue, active = self._active(hue)
-        for i, t in active:
-            values[names[i]] = t.membership(hue)
+        values[names[j]] = t
+        values[names[k]] = 1.0 - t
         return values
 
     def category_of(self, hue: float) -> str:
-        """Crisp winner at ``hue``; exact ties go to the earlier ring entry.
+        """Crisp winner at ``hue``; an exact tie goes to the lower ring index.
 
-        Like :meth:`memberships`, it evaluates at ``hue % 360``, and a hue
-        that is NaN or infinite raises ValueError.
+        On the zone that wraps from the last category to the first, that is
+        the first. Like :meth:`memberships`, it evaluates at ``hue % 360``,
+        and a hue that is NaN or infinite raises ValueError.
         """
-        best, winner = 0.0, 0
-        hue, active = self._active(hue)
-        for i, t in active:
-            m = t.membership(hue)
-            if m > best:
-                best, winner = m, i
-        return self.names[winner]
+        k, j, t = self._split(hue)
+        # t > 0.5 exactly when t > 1 - t.
+        return self.names[j if t > 0.5 or (t == 0.5 and j < k) else k]
 
     def rotated(self, delta: float) -> HuePartition:
         """The same partition with every hue shifted by ``delta`` degrees."""

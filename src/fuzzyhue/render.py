@@ -117,20 +117,19 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
     def curve_points():
         """Each category's polyline ``points``, in ring order.
 
-        Samples once: every x is formatted once, and at each x only the
-        categories of the segment table's active entry are evaluated. Every
-        other category is exactly 0 there, which formats to the floor. A
-        polyline is joined just before it is yielded, so only the nonzero
-        samples are kept, and they are freed with the loop that takes them.
+        Samples once: every x is formatted once, and at each x one zone
+        table lookup gives the at most two nonzero memberships. Every other
+        category is exactly 0 there, which formats to the floor. A polyline
+        is joined just before it is yielded, so only the nonzero samples are
+        kept, and they are freed with the loop that takes them.
         """
         xs = [_fmt(x_of(i * cell)) + "," for i in range(steps + 1)]
         floor = _fmt(y_of(0.0))
         flat = [x + floor for x in xs]
         raised: list[list[tuple[int, str]]] = [[] for _ in partition.names]
         for i in range(steps + 1):
-            hue = i * cell
-            for index, t in partition._active(hue)[1]:
-                mu = t.membership(hue)
+            k, j, t = partition._split(i * cell)
+            for index, mu in ((k, 1.0 - t), (j, t)):
                 if mu:
                     raised[index].append((i, _fmt(y_of(mu))))
         for pairs in raised:

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from fuzzyhue import BoundarySpec, builtin_colibri
+from fuzzyhue import BoundarySpec, builtin_colibri, wrap
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +35,48 @@ def random_boundary_specs(rng: random.Random, count: int) -> list[BoundarySpec]:
         rng.uniform(0.05, 0.90) * min(gaps[i - 1], gaps[i]) for i in range(count)
     ]
     return [BoundarySpec(p, w) for p, w in zip(positions, widths)]
+
+
+def zone_rule(partition, hue):
+    """``(values, rising)``: the memberships at ``hue % 360`` by the zone
+    rule, from the boundary list alone, and the index of the category whose
+    value is a zone's ``t`` (None on a core).
+
+    Inside boundary k's zone, from ``lo = position - width/2`` over ``w``
+    degrees, category k+1 has ``t = ((hue - lo) % 360) / w`` and category k
+    has ``1 - t``. Outside every zone, the category whose core holds the
+    hue has 1. For rings whose zones do not overlap.
+    """
+    n = len(partition.boundaries)
+    hue %= 360.0
+    zones = []
+    for b in partition.boundaries:
+        lo, hi = wrap(b.position - b.width / 2.0), wrap(b.position + b.width / 2.0)
+        zones.append((lo, hi, (hi - lo) % 360.0))
+    values = [0.0] * n
+    for k, (lo, _, w) in enumerate(zones):
+        rel = (hue - lo) % 360.0
+        # At its end, or a hue that rounds onto it, t = 1 gives k+1 its core
+        # value.
+        if rel <= w:
+            values[k], values[(k + 1) % n] = 1.0 - rel / w, rel / w
+            return values, (k + 1) % n
+    # The core of category k runs from the end of zone k-1 to the start of
+    # zone k; a hue just short of that start can round onto it.
+    for k, (lo, _, _) in enumerate(zones):
+        end = zones[k - 1][1]
+        if (hue - end) % 360.0 <= (lo - end) % 360.0:
+            values[k] = 1.0
+            return values, None
+    raise AssertionError(f"hue {hue!r} is in no zone and no core")
+
+
+def fall_tolerance(partition):
+    """How far a falling trapezoid, or one rounded just past its support, can
+    be from the zone rule: four ulps of 360 per degree of the narrowest zone.
+
+    The trapezoid rounds three offsets near 360 (the hue's, the span's and
+    the core end's) and the zone rule one, each by up to half an ulp: 2 ulps
+    in all, which random rings reach. The tolerance doubles that.
+    """
+    return 4 * math.ulp(360.0) / min(b.width for b in partition.boundaries)

@@ -1,4 +1,5 @@
 import colorsys
+import math
 import random
 from collections import Counter
 from enum import IntEnum
@@ -6,6 +7,8 @@ from itertools import product
 from math import fsum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyhue import (
     ACHROMATIC,
@@ -19,9 +22,10 @@ from fuzzyhue import (
     hsv_to_rgb,
     image_descriptor,
     rgb_to_hsv,
+    wrap,
 )
 from fuzzyhue.classify import DEFAULT_GATE, FuzzyColorDescriptor
-from conftest import random_boundary_specs
+from conftest import fall_tolerance, random_boundary_specs, zone_rule
 
 # 8-bit colors whose exact hexcone hue is an integer degree value.
 GREEN_100 = (85, 255, 0)  # hue 100 (within float rounding), inside green core
@@ -49,8 +53,16 @@ def reference_descriptor(partition, grid, gate):
     return FuzzyColorDescriptor(masses, achromatic)
 
 
-def scan_descriptor(partition, grid, gate):
-    """colorsys, the gate and every set of the partition, per distinct color."""
+def zone_values(partition, hue):
+    return zone_rule(partition, hue)[0]
+
+
+def trapezoid_values(partition, hue):
+    return [t.membership(hue) for t in partition.sets]
+
+
+def scan_descriptor(partition, grid, gate, values=zone_values):
+    """colorsys, the gate and ``values(partition, hue)``, per distinct color."""
     n = len(grid.pixels)
     terms = {name: [] for name in partition.names}
     gray = []
@@ -59,8 +71,8 @@ def scan_descriptor(partition, grid, gate):
         if s == 0.0 or s < gate.s_min or v < gate.v_min or v > gate.v_max:
             gray.append(1.0 * count)
             continue
-        for name, t in zip(partition.names, partition.sets):
-            terms[name].append(t.membership(h * 360.0) * count)
+        for name, mass in zip(partition.names, values(partition, h * 360.0)):
+            terms[name].append(mass * count)
     masses = {name: fsum(values) / n for name, values in terms.items()}
     return FuzzyColorDescriptor(masses, fsum(gray) / n)
 
@@ -291,9 +303,15 @@ class TestImageDescriptor:
         gate = AchromaticGate(
             s_min=rng.uniform(0.0, 0.5), v_min=rng.uniform(0.0, 0.3), v_max=rng.uniform(0.7, 1.0)
         )
-        assert bits(image_descriptor(partition, grid, gate)) == bits(
-            scan_descriptor(partition, grid, gate)
-        )
+        got = image_descriptor(partition, grid, gate)
+        assert bits(got) == bits(scan_descriptor(partition, grid, gate))
+        # Against every trapezoid, the falling side rounds differently.
+        scan = scan_descriptor(partition, grid, gate, trapezoid_values)
+        assert got.achromatic_mass == scan.achromatic_mass
+        for name in partition.names:
+            assert abs(got.category_mass[name] - scan.category_mass[name]) <= fall_tolerance(
+                partition
+            )
 
     @pytest.mark.parametrize(
         "bad", [(True, 0, 0), (1.0, 0, 0), (0, 256, 0), (0, 0, -1), (1, 2), (1, 2, 3, 4)]
@@ -380,6 +398,58 @@ class TestPerColourExactness:
         for _ in range(5000):
             rgb = (rng.randrange(256), rng.randrange(256), rng.randrange(256))
             self.check(ring, rgb, OPEN_GATE)
+
+
+def hue_of(rgb):
+    """The hue ``classify_color`` looks up for ``rgb``."""
+    return colorsys.rgb_to_hsv(*(c / 255.0 for c in rgb))[0] * 360.0
+
+
+def colour_ring(rng, count):
+    """``(ring, knots)``: a random ring whose zones start, and where they
+    can, end at the hues of 8-bit colours, and ``knots``, those colours.
+
+    A zone whose ends do not come out exactly at both hues is made a few
+    ulps wide instead, starting at the first; so is about a third of the
+    zones anyway.
+    """
+    colours = {}
+    while len(colours) < 2 * count:
+        rgb = (rng.randrange(256), rng.randrange(256), rng.randrange(256))
+        if len(set(rgb)) > 1:
+            colours.setdefault(hue_of(rgb), rgb)
+    hues = sorted(colours)
+    specs, knots = [], []
+    for k in range(count):
+        lo, hi = hues[2 * k], hues[2 * k + 1]
+        position, width = (lo + hi) / 2.0, hi - lo
+        ends = wrap(position - width / 2.0), wrap(position + width / 2.0)
+        if ends == (lo, hi) and rng.random() < 2 / 3:
+            knots += [colours[lo], colours[hi]]
+        else:
+            position, width = lo + math.ulp(lo), 2.0 * math.ulp(lo)
+            knots.append(colours[lo])
+        specs.append(BoundarySpec(position, width))
+    return from_boundaries(specs, [f"c{i}" for i in range(count)]), knots
+
+
+class TestKernelZoneRule:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
+    def test_sums_to_one_and_is_exact_at_the_knots(self, seed, count):
+        rng = random.Random(seed)
+        ring, knots = colour_ring(rng, count)
+        inside = [(rng.randrange(256), rng.randrange(256), rng.randrange(256)) for _ in range(200)]
+        for rgb in knots + inside:
+            masses = list(image_descriptor(ring, PixelGrid(1, 1, bytes(rgb)), OPEN_GATE)
+                          .category_mass.values())
+            if len(set(rgb)) == 1:
+                assert masses == [0.0] * count
+                continue
+            assert sum(masses) == 1.0 and sum(1 for m in masses if m) <= 2, rgb
+            assert masses == list(ring.memberships(hue_of(rgb)).values()), rgb
+            if rgb in knots:
+                assert set(masses) <= {0.0, 1.0}, rgb
 
 
 class TestDominantLabels:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fuzzyhue import (
     CircularTrapezoid,
+    HuePartition,
     builtin_colibri,
     cli,
     dump_partition,
@@ -96,13 +97,15 @@ class TestClassifyCommand:
         assert len(calls) == 1
 
     def test_hue_looks_up_once(self, capsys, monkeypatch):
+        # One zone table lookup, and no trapezoid is evaluated.
         calls = []
-        evaluate = CircularTrapezoid.membership
+        split = HuePartition._split
         monkeypatch.setattr(
-            CircularTrapezoid, "membership", lambda t, hue: calls.append(hue) or evaluate(t, hue)
+            HuePartition, "_split", lambda p, hue: calls.append(hue) or split(p, hue)
         )
+        monkeypatch.setattr(CircularTrapezoid, "membership", None)
         run(capsys, "classify", "--hue", "50")
-        assert 0 < len(calls) <= 3
+        assert calls == [50.0]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 12))

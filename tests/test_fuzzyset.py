@@ -54,7 +54,7 @@ def trapezoids(draw):
 
 class TestConstruction:
     def test_triangle_is_first_class(self):
-        assert YELLOW.is_triangle
+        assert YELLOW.b == YELLOW.c
         assert YELLOW.core().measure == 0.0
 
     def test_wrapping_knots(self):
@@ -125,6 +125,12 @@ class TestAlphaCut:
         assert cut == Arc(1.0, 1.0) == t.core()
         assert cut.measure == 0.0
         assert not cut.contains(1.0)
+
+    def test_rounded_apex_cut_is_empty(self):
+        # span - fall rounds 2 ulps below rise: the cut at 1 ended before it
+        # started and measured 360.
+        t = CircularTrapezoid(0.0, 1.8153787328798803, 1.8153787328798803, 18.81537873287988)
+        assert t.alpha_cut(1.0) == t.core() and t.alpha_cut(1.0).measure == 0.0
 
     def test_cut_at_one_is_core(self):
         green = CircularTrapezoid(46.0, 65.0, 128.0, 175.0)

@@ -20,7 +20,7 @@ from fuzzyhue import (
     wideness,
     wrap,
 )
-from conftest import random_boundary_specs
+from conftest import fall_tolerance, random_boundary_specs, zone_rule
 
 GOLDEN_METRICS = {
     # name: (alpha=0.5 range start, range end, wideness, left width, right width)
@@ -47,7 +47,7 @@ class TestFromBoundaries:
         p = from_boundaries(golden_specs(), RING)
         t = p.fuzzy_set("yellow")
         assert (t.a, t.b, t.c, t.d) == (34.0, 46.0, 46.0, 65.0)
-        assert t.is_triangle
+        assert t.b == t.c
 
     def test_green_knots(self):
         p = from_boundaries(golden_specs(), RING)
@@ -97,7 +97,8 @@ class TestFromBoundaries:
         # Two boundaries 10 degrees apart with widths adding to exactly 20.
         specs = [BoundarySpec(30.0, 8.0), BoundarySpec(40.0, 12.0), BoundarySpec(300.0, 10.0)]
         p = from_boundaries(specs, ("a", "b", "c"))
-        assert p.fuzzy_set("b").is_triangle
+        t = p.fuzzy_set("b")
+        assert t.b == t.c
 
 
 class TestBuiltin:
@@ -165,7 +166,7 @@ class TestPartitionInvariants:
 
     def test_adjacent_supports_overlap_in_published_width(self, colibri):
         for k, name in enumerate(RING):
-            succ = colibri.successor(name)
+            succ = RING[(k + 1) % len(RING)]
             pieces = colibri.fuzzy_set(name).support().intersect(
                 colibri.fuzzy_set(succ).support()
             )
@@ -217,16 +218,6 @@ def scan_memberships(partition, hue):
     return [t.membership(hue) for t in partition.sets]
 
 
-def scan_category(partition, hue):
-    """Crisp winner over every set; a strict ``>`` keeps the earlier entry on ties."""
-    best, winner = -1.0, 0
-    for i, t in enumerate(partition.sets):
-        m = t.membership(hue)
-        if m > best:
-            best, winner = m, i
-    return partition.names[winner]
-
-
 def probe_hues(partition, rng):
     """Random hues, every knot and up to 4 ulps either side, and all of them
     shifted by whole turns."""
@@ -243,27 +234,42 @@ def probe_hues(partition, rng):
     return hues + shifted + [-0.0, -5e-324, -1e-300, 360.0, 720.0]
 
 
-def assert_matches_scan(partition, hues):
-    """Lookups equal the full scan bitwise; both evaluate at ``hue % 360``."""
+def assert_matches_scan(partition, hues, fall_tol):
+    """Lookups follow the zone rule at ``hue % 360`` and stay close to the
+    full trapezoid scan.
+
+    The values are bitwise :func:`zone_rule`'s; they sum to exactly 1 with at
+    most two nonzero, and the crisp winner is the first of the largest. The
+    rising category's value is bitwise its trapezoid's. Every other value is
+    within ``fall_tol`` of its trapezoid's: the falling trapezoid measures
+    from its own ``a`` knot, so its rounding differs.
+    """
     for hue in hues:
-        on_circle = hue % 360.0
         values = partition.memberships(hue)
         assert tuple(values) == partition.names
-        expected = [m.hex() for m in scan_memberships(partition, on_circle)]
-        assert [m.hex() for m in values.values()] == expected, hue
-        assert partition.category_of(hue) == scan_category(partition, on_circle), hue
+        got = list(values.values())
+        expected, rising = zone_rule(partition, hue)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], hue
+        assert sum(got) == 1.0 and sum(1 for v in got if v) <= 2, hue
+        assert partition.category_of(hue) == partition.names[got.index(max(got))], hue
+        scan = scan_memberships(partition, hue % 360.0)
+        for i, (value, reference) in enumerate(zip(got, scan)):
+            if i == rising:
+                assert value.hex() == reference.hex(), hue
+            else:
+                assert abs(value - reference) <= fall_tol, (hue, i)
 
 
 class TestSegmentTable:
     def test_builtin_matches_scan(self, colibri):
-        assert_matches_scan(colibri, probe_hues(colibri, random.Random(3)))
+        assert_matches_scan(colibri, probe_hues(colibri, random.Random(3)), 4e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
     def test_random_rings_match_scan(self, seed, count):
         rng = random.Random(seed)
         p = from_boundaries(random_boundary_specs(rng, count), [f"c{i}" for i in range(count)])
-        assert_matches_scan(p, probe_hues(p, rng))
+        assert_matches_scan(p, probe_hues(p, rng), fall_tolerance(p))
 
     @pytest.mark.parametrize(
         "hue, pair", [(12.5, ("red", "orange")), (40.0, ("orange", "yellow")),
@@ -272,20 +278,21 @@ class TestSegmentTable:
     def test_exact_ties(self, colibri, hue, pair):
         values = colibri.memberships(hue)
         assert (values[pair[0]], values[pair[1]]) == (0.5, 0.5)
-        assert_matches_scan(colibri, [hue])
+        assert_matches_scan(colibri, [hue], 4e-15)
         assert colibri.category_of(hue) == min(pair, key=colibri.index)
 
     def test_built_lazily_without_evaluations(self, monkeypatch):
         p = from_boundaries(golden_specs(), RING)
-        assert "_segments" not in vars(p)
+        assert "_zones" not in vars(p)
 
         def refuse(self, hue):
             raise AssertionError("the table must not evaluate memberships")
 
         monkeypatch.setattr(type(p.sets[0]), "membership", refuse)
-        knots, active = p._segments
-        assert len(active) == len(knots)
-        assert all(1 <= len(pairs) <= 3 for pairs in active)
+        starts, zones = p._zones
+        # Nine zones and a core for each of the six categories that have one.
+        assert len(starts) == len(zones) == 15
+        assert list(starts) == sorted(set(starts))
 
     @pytest.mark.parametrize("hue", [math.nan, math.inf, -math.inf])
     def test_non_finite_hue_refused(self, colibri, hue):
@@ -305,9 +312,117 @@ class TestSegmentTable:
     def test_finite_hues_sum_to_one(self, hue):
         colibri = builtin_colibri()
         values = colibri.memberships(hue)
-        assert abs(math.fsum(values.values()) - 1.0) <= 1e-12
+        assert sum(values.values()) == math.fsum(values.values()) == 1.0
         assert values == colibri.memberships(hue % 360.0)
         assert colibri.category_of(hue) == colibri.category_of(hue % 360.0)
+
+
+def ulp_ring(rng, count):
+    """A random ring (positive cores) in which about a third of the zones,
+    and at least one, are a few ulps of their position wide."""
+    specs = random_boundary_specs(rng, count)
+    narrow = [k for k in range(count) if rng.random() < 1 / 3] or [rng.randrange(count)]
+    for k in narrow:
+        position = specs[k].position
+        specs[k] = BoundarySpec(position, rng.randint(2, 8) * math.ulp(max(position, 1.0)))
+    return from_boundaries(specs, [f"c{i}" for i in range(count)])
+
+
+def touching_ring(rng, count):
+    """A random ring in which some categories have a core of 0 or within the
+    tolerance of 0, either side: their zones touch or overlap by a sliver."""
+    specs = random_boundary_specs(rng, count)
+    names = [f"c{i}" for i in range(count)]
+    for i in rng.sample(range(count), rng.randint(1, count)):
+        left, right = specs[i - 1], specs[i]
+        gap = (right.position - left.position) % 360.0
+        core = rng.choice([0.0, 1e-10, -1e-10, -9e-10, -1e-15])
+        width = 2.0 * (gap - core) - left.width
+        try:
+            trial = specs[:i] + [BoundarySpec(right.position, width)] + specs[i + 1:]
+            from_boundaries(trial, names)
+        except (PartitionError, ValueError):
+            continue
+        specs = trial
+    return from_boundaries(specs, names)
+
+
+def zone_knots(partition):
+    """Every zone's start and end, and the midpoint between them."""
+    hues = []
+    for b in partition.boundaries:
+        lo, hi = wrap(b.position - b.width / 2.0), wrap(b.position + b.width / 2.0)
+        hues += [lo, hi, wrap(lo + ((hi - lo) % 360.0) / 2.0)]
+    return hues
+
+
+def assert_sums_to_one(partition, hue):
+    values = list(partition.memberships(hue).values())
+    assert sum(values) == 1.0 and math.fsum(values) == 1.0, hue
+    assert sum(1 for v in values if v) <= 2, hue
+    assert all(0.0 <= v <= 1.0 for v in values), hue
+    return values
+
+
+class TestZoneRule:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
+    def test_ulp_wide_zones_sum_to_one_and_are_exact_at_the_knots(self, seed, count):
+        p = ulp_ring(random.Random(seed), count)
+        hues = zone_knots(p)
+        for index, hue in enumerate(hues):
+            values = assert_sums_to_one(p, hue)
+            if index % 3 != 2:
+                assert set(values) <= {0.0, 1.0}, hue
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
+    def test_touching_and_overlapping_zones_sum_to_one(self, seed, count):
+        rng = random.Random(seed)
+        p = touching_ring(rng, count)
+        starts, _ = p._zones
+        assert list(starts) == sorted(set(starts))
+        for hue in probe_hues(p, rng) + zone_knots(p):
+            assert_sums_to_one(p, hue)
+
+    def test_near_full_core(self):
+        # Category a's core is 359.9999999 degrees, which the trapezoid's
+        # rounding snap takes for zero: its memberships were all 0 at 180.
+        p = from_boundaries([BoundarySpec(0.0, 1e-8), BoundarySpec(1e-7, 1e-8)], ("a", "b"))
+        assert p.memberships(180.0) == {"a": 1.0, "b": 0.0}
+        assert p.category_of(180.0) == "a"
+        for hue in zone_knots(p):
+            assert_sums_to_one(p, hue)
+
+    def test_ulp_wide_zone(self):
+        # A zone of 5 ulps: both memberships were 0.0 at its start.
+        p = from_boundaries(
+            [BoundarySpec(8.60744456874241, 8.881784197001252e-15),
+             BoundarySpec(116.08431337406991, 24.99763220342407)],
+            ("a", "b"),
+        )
+        assert p.memberships(8.607444568742405) == {"a": 1.0, "b": 0.0}
+        for index, hue in enumerate(zone_knots(p)):
+            values = assert_sums_to_one(p, hue)
+            if index % 3 != 2:
+                assert set(values) <= {0.0, 1.0}, hue
+
+    def test_overlap_within_tolerance_belongs_to_the_earlier_zone(self):
+        # b's core is -5e-10: zone 1 starts at 11.9999999995, before zone 0
+        # ends at 12. Zone 0 keeps the sliver; zone 1 takes over at 12.
+        specs = [BoundarySpec(10.0, 4.0), BoundarySpec(14.9999999995, 6.0),
+                 BoundarySpec(200.0, 10.0)]
+        p = from_boundaries(specs, ("a", "b", "c"))
+        b = p.fuzzy_set("b")
+        assert b.c == b.b == 12.0
+        for hue in (11.9999999995, 11.99999999975, math.nextafter(12.0, 0.0)):
+            values = p.memberships(hue)
+            assert values["c"] == 0.0 and values["a"] > 0.0
+            assert_sums_to_one(p, hue)
+        values = p.memberships(12.0)
+        assert values["a"] == 0.0
+        assert 0.0 < values["c"] == p.fuzzy_set("c").membership(12.0) < 1e-10
+        assert_sums_to_one(p, 12.0)
 
 
 def _circ_err(a, b):

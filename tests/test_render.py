@@ -13,6 +13,7 @@ from fuzzyhue import (
     RING,
     BoundarySpec,
     CircularTrapezoid,
+    HuePartition,
     PlotConfig,
     builtin_colibri,
     from_boundaries,
@@ -138,20 +139,20 @@ class TestRenderMemberships:
         assert got == reference_points(partition, cfg)
 
     def test_evaluates_only_active_categories(self, colibri, monkeypatch):
+        # One zone table lookup per sample, and no trapezoid is evaluated.
         calls = 0
-        membership = CircularTrapezoid.membership
+        split = HuePartition._split
 
         def counting(self, hue):
             nonlocal calls
             calls += 1
-            return membership(self, hue)
+            return split(self, hue)
 
         cfg = PlotConfig()
-        colibri._active(0.0)  # build the lazy segment table
-        monkeypatch.setattr(CircularTrapezoid, "membership", counting)
+        monkeypatch.setattr(HuePartition, "_split", counting)
+        monkeypatch.setattr(CircularTrapezoid, "membership", None)
         render_memberships(colibri, cfg)
-        steps = round(360.0 / cfg.sample_step)
-        assert 0 < calls <= 3 * (steps + 1)
+        assert calls == round(360.0 / cfg.sample_step) + 1
 
     def test_samples_are_freed_before_the_document_is_joined(self, colibri):
         # Joining the parts into the document holds about three copies of
