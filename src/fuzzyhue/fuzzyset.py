@@ -5,10 +5,6 @@ from __future__ import annotations
 from ._value import Value, _number, _shown
 from .circle import PERIOD, TOL, Arc, wrap
 
-# Segment offsets this close to a full turn are knots that coincide up to
-# rounding (e.g. a core computed as b - c = -1e-16); treat them as zero.
-_SNAP = 1e-6
-
 
 class CircularTrapezoid(Value):
     """Trapezoidal membership function wrapped onto the hue circle.
@@ -17,12 +13,13 @@ class CircularTrapezoid(Value):
     support is the arc (a, d), the core is [b, c] (a single point when
     ``b == c``, which makes the shape a triangle), membership rises linearly
     0 to 1 on (a, b) and falls linearly 1 to 0 on (c, d). It is the
-    reference of the partition checks and metrics, exact only up to rounding:
-    offsets run from ``a``, so near ``c`` and ``d`` a value can be ulps off.
+    reference of the partition checks and metrics. The rise is measured from
+    ``a`` and the fall from ``d``, so membership is exactly 0 at ``a`` and
+    ``d`` and exactly 1 at ``b`` and ``c``.
 
-    Internally the knots are unrolled onto the real line (offsets from ``a``
-    along the ascending direction, total span under a full turn), so
-    evaluation and alpha-cuts never branch on the 0/360 seam.
+    Evaluation takes the hue's offsets after ``a`` and before ``d`` modulo
+    360, and alpha-cuts unroll the knots onto the real line from ``a``
+    (total span under a full turn), so neither branches on the 0/360 seam.
     """
 
     __match_args__ = ("a", "b", "c", "d")
@@ -30,9 +27,9 @@ class CircularTrapezoid(Value):
     def __init__(self, a: float, b: float, c: float, d: float) -> None:
         for name, knot in zip(self.__match_args__, (a, b, c, d)):
             object.__setattr__(self, name, wrap(knot))
-        rise = self._segment(self.a, self.b)
-        plateau = self._segment(self.b, self.c)
-        fall = self._segment(self.c, self.d)
+        rise = (self.b - self.a) % PERIOD
+        plateau = (self.c - self.b) % PERIOD
+        fall = (self.d - self.c) % PERIOD
         span = rise + plateau + fall
         if rise <= 0.0:
             raise ValueError("rising shoulder must have positive width (a < b)")
@@ -44,31 +41,27 @@ class CircularTrapezoid(Value):
                 "knots must run in ascending circular order with total span < 360"
             )
         object.__setattr__(self, "_rise", rise)
+        object.__setattr__(self, "_fall", fall)
         object.__setattr__(self, "_core_end", rise + plateau)
         object.__setattr__(self, "_span", span)
 
-    @staticmethod
-    def _segment(lo: float, hi: float) -> float:
-        m = (hi - lo) % PERIOD
-        return 0.0 if m > PERIOD - _SNAP else m
-
     def membership(self, hue: float) -> float:
-        """Membership degree of ``hue``, in [0, 1]; NaN or infinite raises ValueError."""
+        """Membership degree of ``hue % 360``, in [0, 1]; NaN or infinite raises ValueError."""
         try:
-            rel = (hue - self.a) % PERIOD
+            h = hue % PERIOD
         except OverflowError:
-            # An int too large for a float; NaN fails every test below.
-            rel = float("nan")
-        if rel <= 0.0 or rel >= self._span:
-            return 0.0
-        if rel < self._rise:
-            return rel / self._rise
-        if rel <= self._core_end:
-            return 1.0
-        if rel < self._span:
-            return (self._span - rel) / (self._span - self._core_end)
-        # Only NaN, left by a NaN or infinite hue, fails every test above.
-        raise ValueError(f"hue must be finite, got {_shown(hue)}")
+            # An int too large for a float.
+            h = float("nan")
+        if h != h:
+            raise ValueError(f"hue must be finite, got {_shown(hue)}")
+        up = (h - self.a) % PERIOD
+        if up < self._rise:
+            return up / self._rise
+        down = (self.d - h) % PERIOD
+        if down < self._fall:
+            return down / self._fall
+        # On the core the offsets add up to the span; off the support, a turn more.
+        return 1.0 if up + down < PERIOD else 0.0
 
     __call__ = membership
 

@@ -2,8 +2,8 @@
 
 Two measurements per category: *wideness*, the measure of its alpha-cut
 (default alpha 0.5, where the cut endpoints are the category boundaries),
-and the *boundary width* shared with each ring neighbor, the measure of the
-overlap of their supports. Wideness has both a closed-form evaluator and an
+and the *boundary width* shared with each ring neighbor, the width of the
+transition zone between them. Wideness has both a closed-form evaluator and an
 indicator-integral one; the integral form needs no special casing for
 categories split by the 0/360 seam, which is exactly why it exists.
 
@@ -21,7 +21,8 @@ from ._value import Value, _number
 from .circle import PERIOD, Arc, wrap
 from .partition import HuePartition
 
-# Absolute tolerance of the invariant checks.
+# Absolute tolerance of the invariant checks: how far a sum of rounded values
+# may miss, and how close to 0 a membership counts as 0.
 _CHECK_TOL = 1e-9
 
 
@@ -88,10 +89,11 @@ def wideness_numeric(
 
 
 def boundary_width(partition: HuePartition, name_a: str, name_b: str) -> float:
-    """Total measure of the overlap of two adjacent categories' supports.
+    """Width of the transition zone between two adjacent categories.
 
-    Symmetric in its arguments. For a 2-category ring the pair shares both
-    boundaries and the value covers both zones.
+    It is the zone measure of :func:`metrics_table`, read from the
+    trapezoid knots. Symmetric in its arguments. For a 2-category ring the
+    pair shares both boundaries and the value is the sum of both zones.
     """
     i = partition.index(name_a)
     j = partition.index(name_b)
@@ -99,24 +101,22 @@ def boundary_width(partition: HuePartition, name_a: str, name_b: str) -> float:
     if n == 2:
         if i == j:
             raise AdjacencyError(f"{name_a!r} is not adjacent to itself")
-        first, second = min(i, j), max(i, j)
+        shared = (0, 1)
     elif (j - i) % n == 1:
-        first, second = i, j
+        shared = (i,)
     elif (i - j) % n == 1:
-        first, second = j, i
+        shared = (j,)
     else:
         raise AdjacencyError(f"categories {name_a!r} and {name_b!r} are not adjacent")
-    pieces = partition.sets[first].support().intersect(partition.sets[second].support())
-    return sum(piece.measure for piece in pieces)
+    return sum(_zone_measure(partition, k) for k in shared)
 
 
 def _zone_measure(partition: HuePartition, k: int) -> float:
-    """Measure of the piece of the supports' overlap of ring neighbors k and k+1
-    that contains boundary k's position, or 0.0 if no piece does."""
-    n = len(partition)
-    pieces = partition.sets[k].support().intersect(partition.sets[(k + 1) % n].support())
-    position = partition.boundaries[k].position
-    return next((piece.measure for piece in pieces if piece.contains(position)), 0.0)
+    """Width of boundary k's zone: from where the support of category k+1
+    starts to where that of category k ends. Bitwise the ``w`` of that zone
+    in the partition's zone table."""
+    sets = partition.sets
+    return (sets[k].d - sets[(k + 1) % len(sets)].a) % PERIOD
 
 
 def metrics_table(partition: HuePartition, alpha: float = 0.5) -> list[CategoryMetrics]:

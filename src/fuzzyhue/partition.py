@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from ._value import Value, _number, _shown
-from .circle import PERIOD, wrap
+from .circle import PERIOD, TOL, wrap
 from .fuzzyset import CircularTrapezoid
 
 #: Ring order of the builtin categories.
@@ -47,8 +47,6 @@ _COLIBRI_BOUNDARIES = (
     (300.5, 45.0),  # violet | magenta
     (340.5, 21.0),  # magenta | red
 )
-
-_CORE_TOL = 1e-9
 
 
 class PartitionError(ValueError):
@@ -134,7 +132,7 @@ class HuePartition(Value):
             left, right = boundaries[i - 1], boundaries[i]
             gap = (right.position - left.position) % PERIOD
             core = gap - (left.width + right.width) / 2.0
-            if core < -_CORE_TOL:
+            if core < -TOL:
                 raise InconsistentCoreError(name, -core)
             span = gap + (left.width + right.width) / 2.0
             if span >= PERIOD:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fuzzyhue import BoundarySpec, builtin_colibri, wrap
+from fuzzyhue import BoundarySpec, builtin_colibri, from_boundaries, wrap
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,17 @@ def random_boundary_specs(rng: random.Random, count: int) -> list[BoundarySpec]:
         rng.uniform(0.05, 0.90) * min(gaps[i - 1], gaps[i]) for i in range(count)
     ]
     return [BoundarySpec(p, w) for p, w in zip(positions, widths)]
+
+
+def ulp_ring(rng, count):
+    """A random ring (positive cores) in which about a third of the zones,
+    and at least one, are a few ulps of their position wide."""
+    specs = random_boundary_specs(rng, count)
+    narrow = [k for k in range(count) if rng.random() < 1 / 3] or [rng.randrange(count)]
+    for k in narrow:
+        position = specs[k].position
+        specs[k] = BoundarySpec(position, rng.randint(2, 8) * math.ulp(max(position, 1.0)))
+    return from_boundaries(specs, [f"c{i}" for i in range(count)])
 
 
 def zone_rule(partition, hue):
@@ -75,8 +86,10 @@ def fall_tolerance(partition):
     """How far a falling trapezoid, or one rounded just past its support, can
     be from the zone rule: four ulps of 360 per degree of the narrowest zone.
 
-    The trapezoid rounds three offsets near 360 (the hue's, the span's and
-    the core end's) and the zone rule one, each by up to half an ulp: 2 ulps
-    in all, which random rings reach. The tolerance doubles that.
+    Both divide by the same zone width, but the trapezoid takes its falling
+    offset from the zone's end and the zone rule from its start. Each
+    rounds that offset by up to half an ulp of 360, and the zone rule
+    rounds ``1 - t`` too: up to about one ulp in all, which random rings
+    nearly reach. The tolerance is four times that.
     """
     return 4 * math.ulp(360.0) / min(b.width for b in partition.boundaries)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyhue import (
+    BoundarySpec,
     CircularTrapezoid,
     HuePartition,
     builtin_colibri,
@@ -227,6 +228,17 @@ class TestValidateCommand:
         assert first.startswith("FAIL memberships-sum-to-one (max deviation 1 at hue ")
         assert low < float(first.rsplit(" ", 1)[1].rstrip(")")) < high
 
+    def test_ulp_wide_zone_passes(self, capsys, tmp_path):
+        # The zone at 8.607 is 5 ulps wide; sum-to-one failed with deviation 1.
+        specs = [BoundarySpec(8.60744456874241, 8.881784197001252e-15),
+                 BoundarySpec(116.08431337406991, 24.99763220342407)]
+        path = tmp_path / "ulp.json"
+        path.write_text(dump_partition(from_boundaries(specs, ("a", "b"))))
+        code, out, _ = run(capsys, "validate", "--model", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 4 and all(line.startswith("PASS") for line in lines)
+
     def test_model_flag_required(self, capsys):
         code, _, _ = run(capsys, "validate")
         assert code == 1
@@ -254,6 +266,16 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--model", str(path))
         assert code == 0
         assert "ratio: 1" in out
+
+    def test_near_full_core_is_widest(self, capsys, tmp_path):
+        # a's core of 359.9999999 degrees was snapped to zero, which made b
+        # the widest category.
+        specs = [BoundarySpec(0.0, 1e-8), BoundarySpec(1e-7, 1e-8)]
+        path = tmp_path / "full.json"
+        path.write_text(dump_partition(from_boundaries(specs, ("a", "b"))))
+        code, out, _ = run(capsys, "report", "--model", str(path))
+        assert code == 0
+        assert out.startswith("widest: a (wideness 359.9999999)\n")
 
 
 class TestArgumentDomains:

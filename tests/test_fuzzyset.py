@@ -83,6 +83,21 @@ class TestMembership:
         assert YELLOW.membership(34.0) == 0.0
         assert YELLOW.membership(65.0) == 0.0
 
+    @given(trapezoids())
+    def test_exact_at_every_knot(self, t):
+        # The rise is measured from a and the fall from d, so each shoulder
+        # ends on its own knot.
+        assert (t(t.a), t(t.b), t(t.c), t(t.d)) == (0.0, 1.0, 1.0, 0.0)
+
+    def test_near_full_core(self):
+        # A core of 359.99999997 degrees once snapped to zero.
+        t = CircularTrapezoid(0.0, 1e-8, 359.99999998, 359.99999999)
+        assert t(180.0) == t(t.b) == t(t.c) == 1.0
+        assert t(5e-9) == 0.5
+        assert t(359.999999985) == pytest.approx(0.5, abs=1e-5)
+        assert t(359.999999995) == 0.0
+        assert t.core().measure == pytest.approx(359.99999997, abs=1e-9)
+
     def test_callable(self):
         assert YELLOW(46.0) == 1.0
 

@@ -20,7 +20,8 @@ from fuzzyhue import (
     wideness,
     wideness_numeric,
 )
-from conftest import random_boundary_specs
+from fuzzyhue.metrics import _zone_measure
+from conftest import random_boundary_specs, ulp_ring
 
 GOLDEN_WIDENESS = {
     "red": 32.0,
@@ -117,11 +118,26 @@ class TestBoundaryWidth:
         with pytest.raises(AdjacencyError):
             boundary_width(colibri, "red", "red")
 
+    def test_is_the_metrics_table_zone(self):
+        # Category c's core is -5e-10, within the tolerance of zero, so the
+        # supports of a and b overlap in two pieces: the zone at 10 and a
+        # sliver at 105. Only the zone is the boundary width.
+        specs = [BoundarySpec(10.0, 4.0), BoundarySpec(100.0, 10.0),
+                 BoundarySpec(109.9999999995, 10.0)]
+        p = from_boundaries(specs, ("a", "b", "c"))
+        rows = metrics_table(p)
+        assert len(p.fuzzy_set("a").support().intersect(p.fuzzy_set("b").support())) == 2
+        for k, (name, after) in enumerate(zip(p.names, p.names[1:] + p.names[:1])):
+            assert boundary_width(p, name, after) == rows[k].right_boundary_width
+        assert boundary_width(p, "a", "b") == 4.0
+
     def test_two_category_ring_covers_both_zones(self):
         specs = [BoundarySpec(90.0, 10.0), BoundarySpec(270.0, 20.0)]
         p = from_boundaries(specs, ("warm", "cool"))
         assert boundary_width(p, "warm", "cool") == pytest.approx(30.0, abs=1e-9)
         assert boundary_width(p, "cool", "warm") == boundary_width(p, "warm", "cool")
+        rows = metrics_table(p)
+        assert boundary_width(p, "warm", "cool") == sum(r.right_boundary_width for r in rows)
 
 
 class TestMetricsTable:
@@ -159,13 +175,14 @@ class TestMetricsTable:
         assert rows["warm"].left_boundary_width == pytest.approx(20.0, abs=1e-9)
         assert rows["cool"].right_boundary_width == pytest.approx(20.0, abs=1e-9)
 
-    def test_two_category_zone_that_vanishes_reads_zero(self):
-        # The ulp-wide zone at 8.607 drops out of the support overlap, which
-        # leaves one piece: the other zone, which must not be reported here.
+    def test_two_category_ulp_wide_zone_reads_its_knot_span(self):
+        # The zone at 8.607 is 5 ulps of its position wide. The supports'
+        # overlap once lost it to rounding and read 0.0; the zone rule reads
+        # the span between its knots, 6 ulps.
         specs = [BoundarySpec(8.60744456874241, 8.881784197001252e-15),
                  BoundarySpec(116.08431337406991, 24.99763220342407)]
         a, b = metrics_table(from_boundaries(specs, ("a", "b")))
-        assert a.right_boundary_width == b.left_boundary_width == 0.0
+        assert a.right_boundary_width == b.left_boundary_width == 1.0658141036401503e-14
         assert a.left_boundary_width == b.right_boundary_width == pytest.approx(24.99763220342407)
 
     @settings(max_examples=200, deadline=None)
@@ -175,7 +192,7 @@ class TestMetricsTable:
         ulps=st.lists(st.sampled_from([0, 2, 3, 8, 64]), min_size=16, max_size=16),
         delta=st.floats(0.0, 360.0, exclude_max=True),
     )
-    def test_zone_is_the_overlap_piece_at_its_boundary(self, seed, count, ulps, delta):
+    def test_zone_is_the_knot_span_at_its_boundary(self, seed, count, ulps, delta):
         # The ring turns by ``delta``; a nonzero entry of ``ulps`` then makes
         # that zone so many ulps of its position wide.
         specs = []
@@ -186,13 +203,23 @@ class TestMetricsTable:
         rows = metrics_table(partition)
         for k, boundary in enumerate(partition.boundaries):
             this, after = partition.sets[k], partition.sets[(k + 1) % count]
-            pieces = this.support().intersect(after.support())
-            at_boundary = [piece.measure for piece in pieces if piece.contains(boundary.position)]
-            assert len(at_boundary) <= 1, pieces
-            expected = at_boundary[0] if at_boundary else 0.0
+            expected = (this.d - after.a) % 360.0
             assert rows[k].right_boundary_width == expected
             assert rows[(k + 1) % count].left_boundary_width == expected
             assert expected == pytest.approx(boundary.width, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
+    def test_ulp_wide_zones_are_exact_at_every_knot(self, seed, count):
+        partition = ulp_ring(random.Random(seed), count)
+        for t in partition.sets:
+            assert (t(t.a), t(t.b), t(t.c), t(t.d)) == (0.0, 1.0, 1.0, 0.0), t
+        assert all(r.ok for r in check(partition))
+        _, zones = partition._zones
+        widths = {k: w for k, _, _, w in zones if w}
+        assert [_zone_measure(partition, k) for k in range(count)] == [
+            widths[k] for k in range(count)
+        ]
 
 
 class TestAsymmetryReport:
@@ -326,6 +353,18 @@ class TestCheck:
         results = check(from_boundaries(specs, ("a", "b", "c")))
         assert all(r.ok for r in results), results
         assert results[1].worst == 2
+
+    def test_near_full_core_keeps_its_core(self):
+        # a's core is 359.9999999 degrees. A rounding snap once made a a
+        # triangle: a's wideness read 1e-8 and the tiling and round-trip
+        # checks failed. (Sum-to-one is left out: the trapezoids of the
+        # zone that straddles 0 still round there by about 4e-7.)
+        p = from_boundaries([BoundarySpec(0.0, 1e-8), BoundarySpec(1e-7, 1e-8)], ("a", "b"))
+        a = p.fuzzy_set("a")
+        assert a(180.0) == 1.0 and (a(a.a), a(a.b), a(a.c), a(a.d)) == (0.0, 1.0, 1.0, 0.0)
+        results = check(p)
+        assert all(r.ok for r in results[1:]), results
+        assert wideness(p, "a") == pytest.approx(359.9999999, abs=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))

@@ -20,7 +20,7 @@ from fuzzyhue import (
     wideness,
     wrap,
 )
-from conftest import fall_tolerance, random_boundary_specs, zone_rule
+from conftest import fall_tolerance, random_boundary_specs, ulp_ring, zone_rule
 
 GOLDEN_METRICS = {
     # name: (alpha=0.5 range start, range end, wideness, left width, right width)
@@ -242,7 +242,8 @@ def assert_matches_scan(partition, hues, fall_tol):
     most two nonzero, and the crisp winner is the first of the largest. The
     rising category's value is bitwise its trapezoid's. Every other value is
     within ``fall_tol`` of its trapezoid's: the falling trapezoid measures
-    from its own ``a`` knot, so its rounding differs.
+    from its own ``d`` knot and the zone rule from the zone's start, so their
+    rounding differs.
     """
     for hue in hues:
         values = partition.memberships(hue)
@@ -262,7 +263,7 @@ def assert_matches_scan(partition, hues, fall_tol):
 
 class TestSegmentTable:
     def test_builtin_matches_scan(self, colibri):
-        assert_matches_scan(colibri, probe_hues(colibri, random.Random(3)), 4e-15)
+        assert_matches_scan(colibri, probe_hues(colibri, random.Random(3)), 2 * math.ulp(1.0))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
@@ -278,7 +279,7 @@ class TestSegmentTable:
     def test_exact_ties(self, colibri, hue, pair):
         values = colibri.memberships(hue)
         assert (values[pair[0]], values[pair[1]]) == (0.5, 0.5)
-        assert_matches_scan(colibri, [hue], 4e-15)
+        assert_matches_scan(colibri, [hue], 2 * math.ulp(1.0))
         assert colibri.category_of(hue) == min(pair, key=colibri.index)
 
     def test_built_lazily_without_evaluations(self, monkeypatch):
@@ -315,17 +316,6 @@ class TestSegmentTable:
         assert sum(values.values()) == math.fsum(values.values()) == 1.0
         assert values == colibri.memberships(hue % 360.0)
         assert colibri.category_of(hue) == colibri.category_of(hue % 360.0)
-
-
-def ulp_ring(rng, count):
-    """A random ring (positive cores) in which about a third of the zones,
-    and at least one, are a few ulps of their position wide."""
-    specs = random_boundary_specs(rng, count)
-    narrow = [k for k in range(count) if rng.random() < 1 / 3] or [rng.randrange(count)]
-    for k in narrow:
-        position = specs[k].position
-        specs[k] = BoundarySpec(position, rng.randint(2, 8) * math.ulp(max(position, 1.0)))
-    return from_boundaries(specs, [f"c{i}" for i in range(count)])
 
 
 def touching_ring(rng, count):
@@ -386,8 +376,8 @@ class TestZoneRule:
             assert_sums_to_one(p, hue)
 
     def test_near_full_core(self):
-        # Category a's core is 359.9999999 degrees, which the trapezoid's
-        # rounding snap takes for zero: its memberships were all 0 at 180.
+        # Category a's core is 359.9999999 degrees, which a rounding snap of
+        # the trapezoid once took for zero: its memberships were all 0 at 180.
         p = from_boundaries([BoundarySpec(0.0, 1e-8), BoundarySpec(1e-7, 1e-8)], ("a", "b"))
         assert p.memberships(180.0) == {"a": 1.0, "b": 0.0}
         assert p.category_of(180.0) == "a"
