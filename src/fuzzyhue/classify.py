@@ -110,12 +110,14 @@ class FuzzyColorDescriptor(Value):
 
 
 def _is_gray(saturation: float, value: float, gate: AchromaticGate) -> bool:
-    # Saturation 0 is the gray axis, where the hue is undefined.
+    # The image kernel's order: the gray axis (saturation 0, where the hue
+    # is undefined), then value, then saturation. Gray pixels will be
+    # counted by reason under the first of these rules they meet.
     return (
         saturation == 0.0
-        or saturation < gate.s_min
         or value < gate.v_min
         or value > gate.v_max
+        or saturation < gate.s_min
     )
 
 
@@ -132,6 +134,39 @@ def classify_color(
     return FuzzyColorDescriptor(partition.memberships(h * 360.0), 0.0)
 
 
+def _word_counts(samples: bytes) -> Counter:
+    """Pixels of each colour in packed RGB samples, keyed by word 0x00RRGGBB."""
+    # One native word per pixel, spread by three strided copies, so the
+    # colours are counted without building a tuple per pixel.
+    words = bytearray(4 * (len(samples) // 3))
+    for channel, offset in enumerate(_RGB_WORD_OFFSETS):
+        words[offset::4] = samples[channel::3]
+    return Counter(memoryview(words).cast("I"))
+
+
+def _colour_counts(grid: "PixelGrid") -> Counter:
+    """``_word_counts`` of a grid's samples, counting each distinct row once."""
+    samples = grid.samples
+    stride = 3 * grid.width
+    rows = range(0, len(samples), stride)
+    view = memoryview(samples)
+    # Equal rows hash alike, so distinct hashes prove every row distinct
+    # (photos, noise): count the samples themselves and copy nothing.
+    if len({hash(view[i:i + stride]) for i in rows}) == len(rows):
+        return _word_counts(samples)
+    # Group the distinct rows by how often they occur, count each group's
+    # pixels once and scale by that multiplicity. Rows are keyed by bytes
+    # copies, which compare with memcmp; memoryviews compare item by item.
+    groups = {}
+    for row, repeats in Counter(samples[i:i + stride] for i in rows).items():
+        groups.setdefault(repeats, []).append(row)
+    counts = _word_counts(b"".join(groups.pop(1, ())))
+    for repeats, group in groups.items():
+        for key, count in _word_counts(b"".join(group)).items():
+            counts[key] += repeats * count
+    return counts
+
+
 def image_descriptor(
     partition: HuePartition,
     grid: "PixelGrid",
@@ -139,19 +174,16 @@ def image_descriptor(
 ) -> FuzzyColorDescriptor:
     """Equal-weight average of the per-pixel descriptors of an image.
 
-    Distinct colors are classified once and their counted masses reduced
+    Colors are counted over the distinct rows first: each distinct row is
+    counted once and its counts multiplied by how often it repeats, and an
+    image whose rows are all distinct is counted pixel by pixel. Each
+    distinct color is then classified once and its counted masses reduced
     with exact (compensated) summation, so the result is identical for any
-    pixel ordering.
+    pixel or row ordering.
     """
-    samples = grid.samples
-    n = len(samples) // 3
+    n = len(grid.samples) // 3
     if not n:
         raise ValueError("cannot describe an empty image")
-    # One native word 0x00RRGGBB per pixel, spread by three strided copies,
-    # so the colours are counted without building a tuple per pixel.
-    words = bytearray(4 * n)
-    for channel, offset in enumerate(_RGB_WORD_OFFSETS):
-        words[offset::4] = samples[channel::3]
     starts, zones = partition._zones
     # One list of masses per category, for an exactly rounded sum. Gray
     # pixels are counted apart: a category may be named like the achromatic
@@ -160,7 +192,7 @@ def image_descriptor(
     gray = 0
     unit = _UNIT
     s_min, v_min, v_max = gate.s_min, gate.v_min, gate.v_max
-    for key, count in Counter(memoryview(words).cast("I")).items():
+    for key, count in _colour_counts(grid).items():
         r, g, b = key >> 16, key >> 8 & 255, key & 255
         if r > g:
             hi, lo = r, g

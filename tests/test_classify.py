@@ -7,7 +7,7 @@ from itertools import product
 from math import fsum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyhue import (
@@ -194,6 +194,32 @@ class TestAchromaticGate:
         assert (gate.s_min, gate.v_min, gate.v_max) == (0.0, 1.0, 1.0)
 
 
+RGB = st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
+
+
+@st.composite
+def repeated_row_grids(draw):
+    """Grids whose rows are drawn, with repetition, from a tiny row palette.
+
+    The rows' pixels come from a palette of at most four colours, so one
+    colour often sits in rows that repeat a different number of times.
+    """
+    width = draw(st.integers(1, 5))
+    colours = draw(st.lists(RGB, min_size=1, max_size=4))
+    pixel = st.sampled_from(colours)
+    row = st.lists(pixel, min_size=width, max_size=width)
+    palette = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=1, max_size=12))
+    return PixelGrid(width, len(picks), tuple(rgb for i in picks for rgb in palette[i]))
+
+
+def rows_grid(*rows):
+    return PixelGrid(len(rows[0]), len(rows), tuple(rgb for row in rows for rgb in row))
+
+
+ROW_GATES = [DEFAULT_GATE, AchromaticGate(0.0, 0.0, 1.0), AchromaticGate(0.4, 0.3, 0.9)]
+
+
 class TestImageDescriptor:
     def test_constant_image(self, colibri):
         d = image_descriptor(colibri, grid_of([GREEN_100] * 100, width=10))
@@ -312,6 +338,28 @@ class TestImageDescriptor:
             assert abs(got.category_mass[name] - scan.category_mass[name]) <= fall_tolerance(
                 partition
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=repeated_row_grids(), gate=st.sampled_from(ROW_GATES))
+    # Width 1 with non-adjacent repeats; height 1; and rows repeating 3, 2
+    # and 1 times that share YELLOW_46 and GRAY across multiplicities.
+    @example(
+        grid=rows_grid([GREEN_100], [GRAY], [GREEN_100], [GREEN_100], [GRAY]), gate=DEFAULT_GATE
+    )
+    @example(grid=rows_grid([HUE_50, GRAY, HUE_50]), gate=DEFAULT_GATE)
+    @example(
+        grid=rows_grid(
+            [GREEN_100, YELLOW_46], [YELLOW_46, GRAY], [GREEN_100, YELLOW_46],
+            [GRAY, HUE_50], [GREEN_100, YELLOW_46], [YELLOW_46, GRAY],
+        ),
+        gate=DEFAULT_GATE,
+    )
+    def test_repeated_rows_bitwise_equal_to_per_pixel_counts(self, colibri, grid, gate):
+        # reference_descriptor counts every pixel in one Counter, with no row
+        # grouping, and reduces classify_color's masses times each count.
+        assert bits(image_descriptor(colibri, grid, gate)) == bits(
+            reference_descriptor(colibri, grid, gate)
+        )
 
     @pytest.mark.parametrize(
         "bad", [(True, 0, 0), (1.0, 0, 0), (0, 256, 0), (0, 0, -1), (1, 2), (1, 2, 3, 4)]
