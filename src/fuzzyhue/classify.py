@@ -26,6 +26,9 @@ _RGB_WORD_OFFSETS = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 # The float colorsys sees for each 8-bit channel value, x / 255.0.
 _UNIT = tuple(x / 255.0 for x in range(256))
 
+# Strided slices that pixel pairs are counted in; see _colour_counts.
+_PAIR_SLICES = 16
+
 
 class HsvColor(Value):
     """Hexcone HSV triple; ``hue`` is None exactly when saturation is 0."""
@@ -111,8 +114,7 @@ class FuzzyColorDescriptor(Value):
 
 def _is_gray(saturation: float, value: float, gate: AchromaticGate) -> bool:
     # The image kernel's order: the gray axis (saturation 0, where the hue
-    # is undefined), then value, then saturation. Gray pixels will be
-    # counted by reason under the first of these rules they meet.
+    # is undefined), then value, then saturation.
     return (
         saturation == 0.0
         or value < gate.v_min
@@ -134,37 +136,39 @@ def classify_color(
     return FuzzyColorDescriptor(partition.memberships(h * 360.0), 0.0)
 
 
-def _word_counts(samples: bytes) -> Counter:
+def _colour_counts(samples: bytes) -> Counter:
     """Pixels of each colour in packed RGB samples, keyed by word 0x00RRGGBB."""
     # One native word per pixel, spread by three strided copies, so the
     # colours are counted without building a tuple per pixel.
-    words = bytearray(4 * (len(samples) // 3))
+    n = len(samples) // 3
+    words = bytearray(4 * n)
     for channel, offset in enumerate(_RGB_WORD_OFFSETS):
         words[offset::4] = samples[channel::3]
-    return Counter(memoryview(words).cast("I"))
-
-
-def _colour_counts(grid: "PixelGrid") -> Counter:
-    """``_word_counts`` of a grid's samples, counting each distinct row once."""
-    samples = grid.samples
-    stride = 3 * grid.width
-    rows = range(0, len(samples), stride)
-    view = memoryview(samples)
-    # Equal rows hash alike, so distinct hashes prove every row distinct
-    # (photos, noise): count the samples themselves and copy nothing.
-    if len({hash(view[i:i + stride]) for i in rows}) == len(rows):
-        return _word_counts(samples)
-    # Group the distinct rows by how often they occur, count each group's
-    # pixels once and scale by that multiplicity. Rows are keyed by bytes
-    # copies, which compare with memcmp; memoryviews compare item by item.
-    groups = {}
-    for row, repeats in Counter(samples[i:i + stride] for i in rows).items():
-        groups.setdefault(repeats, []).append(row)
-    counts = _word_counts(b"".join(groups.pop(1, ())))
-    for repeats, group in groups.items():
-        for key, count in _word_counts(b"".join(group)).items():
-            counts[key] += repeats * count
-    return counts
+    view = memoryview(words)
+    # Two neighbouring words read as one 8-byte word, a pixel pair. Where
+    # pairs repeat (flat fills, runs of a colour, posterized ramps) counting
+    # them halves the items counted, and each distinct pair is split after.
+    # The pairs are counted in _PAIR_SLICES strided slices, each a sample of
+    # the whole image. From the second slice on, once more than one pair in
+    # 8 is new (photos, noise), splitting would cost more than it saves, so
+    # the pixels are counted one by one instead.
+    pairs = view[: n // 2 * 8].cast("Q")
+    counts = Counter()
+    for start in range(_PAIR_SLICES):
+        known = len(counts)
+        part = pairs[start::_PAIR_SLICES]
+        counts.update(part)
+        if start and 8 * (len(counts) - known) > len(part):
+            del counts
+            return Counter(view.cast("I"))
+    # The odd pixel of an odd count is no pair's half.
+    colours = Counter(view[n // 2 * 8 :].cast("I"))
+    get = colours.get
+    for key, count in counts.items():
+        first, second = key & 0xFFFFFFFF, key >> 32
+        colours[first] = get(first, 0) + count
+        colours[second] = get(second, 0) + count
+    return colours
 
 
 def image_descriptor(
@@ -174,14 +178,13 @@ def image_descriptor(
 ) -> FuzzyColorDescriptor:
     """Equal-weight average of the per-pixel descriptors of an image.
 
-    Colors are counted over the distinct rows first: each distinct row is
-    counted once and its counts multiplied by how often it repeats, and an
-    image whose rows are all distinct is counted pixel by pixel. Each
-    distinct color is then classified once and its counted masses reduced
-    with exact (compensated) summation, so the result is identical for any
-    pixel or row ordering.
+    Colors are counted by neighbouring pixel pairs where pairs repeat, and
+    pixel by pixel where they do not. Each distinct color is then
+    classified once and its counted masses reduced with exact (compensated)
+    summation, so the result is identical for any pixel ordering.
     """
-    n = len(grid.samples) // 3
+    samples = grid.samples
+    n = len(samples) // 3
     if not n:
         raise ValueError("cannot describe an empty image")
     starts, zones = partition._zones
@@ -192,7 +195,7 @@ def image_descriptor(
     gray = 0
     unit = _UNIT
     s_min, v_min, v_max = gate.s_min, gate.v_min, gate.v_max
-    for key, count in _colour_counts(grid).items():
+    for key, count in _colour_counts(samples).items():
         r, g, b = key >> 16, key >> 8 & 255, key & 255
         if r > g:
             hi, lo = r, g

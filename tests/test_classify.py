@@ -24,7 +24,7 @@ from fuzzyhue import (
     rgb_to_hsv,
     wrap,
 )
-from fuzzyhue.classify import DEFAULT_GATE, FuzzyColorDescriptor
+from fuzzyhue.classify import DEFAULT_GATE, FuzzyColorDescriptor, _colour_counts
 from conftest import fall_tolerance, random_boundary_specs, zone_rule
 
 # 8-bit colors whose exact hexcone hue is an integer degree value.
@@ -201,16 +201,17 @@ RGB = st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
 def repeated_row_grids(draw):
     """Grids whose rows are drawn, with repetition, from a tiny row palette.
 
-    The rows' pixels come from a palette of at most four colours, so one
-    colour often sits in rows that repeat a different number of times.
+    The rows' pixels come from a palette of at most four colours, so pixel
+    pairs repeat and one colour often sits in pairs of different counts.
     """
-    width = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 24))
     colours = draw(st.lists(RGB, min_size=1, max_size=4))
     pixel = st.sampled_from(colours)
     row = st.lists(pixel, min_size=width, max_size=width)
     palette = draw(st.lists(row, min_size=1, max_size=4))
-    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=1, max_size=12))
-    return PixelGrid(width, len(picks), tuple(rgb for i in picks for rgb in palette[i]))
+    height = draw(st.integers(1, 60))
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=height, max_size=height))
+    return PixelGrid(width, height, tuple(rgb for i in picks for rgb in palette[i]))
 
 
 def rows_grid(*rows):
@@ -218,6 +219,32 @@ def rows_grid(*rows):
 
 
 ROW_GATES = [DEFAULT_GATE, AchromaticGate(0.0, 0.0, 1.0), AchromaticGate(0.4, 0.3, 0.9)]
+
+
+def pixel_counts(samples):
+    """Pixels of each colour, counted one by one, keyed like _colour_counts."""
+    return Counter(int.from_bytes(samples[i : i + 3], "big") for i in range(0, len(samples), 3))
+
+
+def colour_count_cases():
+    rng = random.Random(18)
+    a, b, c = (rng.randbytes(3) for _ in range(3))
+    distinct = [rng.randbytes(6) for _ in range(4096)]
+    return {
+        "one pixel": a,
+        "runs": (a * 4 + b * 4) * 300,
+        "runs and an odd pixel": (a * 4 + b * 4) * 300 + c,
+        "three colours in every pair order": b"".join(rng.choice((a, b, c)) for _ in range(4001)),
+        "noise": rng.randbytes(3 * 4096),
+        # Pair i is counted in slice i % 16: the first 8 slices hold one pair
+        # and the last 8 only new ones, so the count turns to pixels halfway.
+        "new pairs from slice 8": b"".join(
+            a + b if i % 16 < 8 else distinct[i] for i in range(4096)
+        ),
+    }
+
+
+COLOUR_COUNT_CASES = colour_count_cases()
 
 
 class TestImageDescriptor:
@@ -341,8 +368,10 @@ class TestImageDescriptor:
 
     @settings(max_examples=200, deadline=None)
     @given(grid=repeated_row_grids(), gate=st.sampled_from(ROW_GATES))
-    # Width 1 with non-adjacent repeats; height 1; and rows repeating 3, 2
-    # and 1 times that share YELLOW_46 and GRAY across multiplicities.
+    # Width 1 with non-adjacent repeats; height 1 with an odd pixel; rows
+    # repeating 3, 2 and 1 times that share YELLOW_46 and GRAY; and 300 rows
+    # of three, so GREEN_100 is the first half of one repeated pair and the
+    # second half of another.
     @example(
         grid=rows_grid([GREEN_100], [GRAY], [GREEN_100], [GREEN_100], [GRAY]), gate=DEFAULT_GATE
     )
@@ -354,12 +383,18 @@ class TestImageDescriptor:
         ),
         gate=DEFAULT_GATE,
     )
+    @example(grid=rows_grid(*[[GREEN_100, YELLOW_46, GREEN_100]] * 300), gate=DEFAULT_GATE)
     def test_repeated_rows_bitwise_equal_to_per_pixel_counts(self, colibri, grid, gate):
-        # reference_descriptor counts every pixel in one Counter, with no row
-        # grouping, and reduces classify_color's masses times each count.
+        # reference_descriptor counts every pixel in one Counter, with no
+        # pixel pairs, and reduces classify_color's masses times each count.
         assert bits(image_descriptor(colibri, grid, gate)) == bits(
             reference_descriptor(colibri, grid, gate)
         )
+
+    @pytest.mark.parametrize("case", list(COLOUR_COUNT_CASES))
+    def test_colour_counts_are_per_pixel_counts(self, case):
+        samples = COLOUR_COUNT_CASES[case]
+        assert _colour_counts(samples) == pixel_counts(samples)
 
     @pytest.mark.parametrize(
         "bad", [(True, 0, 0), (1.0, 0, 0), (0, 256, 0), (0, 0, -1), (1, 2), (1, 2, 3, 4)]
