@@ -22,16 +22,20 @@ TOL = 1e-9
 
 
 def wrap(angle: float) -> float:
-    """Normalize an angle in degrees to [0, 360)."""
+    """The angle's position on the circle, in [0, 360).
+
+    This is ``angle % 360``, which is exact for any finite float, except that
+    a tiny negative angle, which rounds up to exactly 360, gives 0. A NaN,
+    an infinity or an int too large for a float raises ValueError.
+    """
     try:
-        finite = math.isfinite(angle)
+        h = angle % PERIOD
     except OverflowError:
         # An int too large for a float.
-        finite = False
-    if not finite:
+        h = math.nan
+    # NaN and both infinities leave NaN here.
+    if h != h:
         raise ValueError(f"angle must be finite, got {_shown(angle)}")
-    h = angle % PERIOD
-    # Tiny negative angles round up to exactly the period under fmod.
     return 0.0 if h >= PERIOD else h
 
 

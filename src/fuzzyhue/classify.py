@@ -112,17 +112,6 @@ class FuzzyColorDescriptor(Value):
         return fsum(self.category_mass.values()) + self.achromatic_mass
 
 
-def _is_gray(saturation: float, value: float, gate: AchromaticGate) -> bool:
-    # The image kernel's order: the gray axis (saturation 0, where the hue
-    # is undefined), then value, then saturation.
-    return (
-        saturation == 0.0
-        or value < gate.v_min
-        or value > gate.v_max
-        or saturation < gate.s_min
-    )
-
-
 def classify_color(
     partition: HuePartition,
     rgb: tuple[int, int, int],
@@ -131,7 +120,9 @@ def classify_color(
     """Fuzzy descriptor of one color: memberships of its hue, or all gray."""
     r, g, b = _check_rgb(rgb)
     h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
-    if _is_gray(s, v, gate):
+    # The image kernel's order: the gray axis (saturation 0, where the hue
+    # is undefined), then value, then saturation.
+    if s == 0.0 or v < gate.v_min or v > gate.v_max or s < gate.s_min:
         return FuzzyColorDescriptor({name: 0.0 for name in partition.names}, 1.0)
     return FuzzyColorDescriptor(partition.memberships(h * 360.0), 0.0)
 
@@ -187,11 +178,14 @@ def image_descriptor(
     n = len(samples) // 3
     if not n:
         raise ValueError("cannot describe an empty image")
+    # Loaded on first use: only images need it.
+    from array import array
+
     starts, zones = partition._zones
-    # One list of masses per category, for an exactly rounded sum. Gray
-    # pixels are counted apart: a category may be named like the achromatic
-    # label.
-    terms = [[] for _ in partition.names]
+    # One float array of masses per category, for an exactly rounded sum,
+    # without a float object per mass. Gray pixels are counted apart: a
+    # category may be named like the achromatic label.
+    terms = [array("d") for _ in partition.names]
     gray = 0
     unit = _UNIT
     s_min, v_min, v_max = gate.s_min, gate.v_min, gate.v_max
@@ -205,7 +199,7 @@ def image_descriptor(
             hi = b
         elif b < lo:
             lo = b
-        # _is_gray's rules, tested on the integer max and min before any hue.
+        # classify_color's gate, tested on the integer max and min before any hue.
         maxc = unit[hi]
         if hi == lo or maxc < v_min or maxc > v_max:
             gray += count

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from ._value import _number
-from .circle import wrap
 from .classify import (
     ACHROMATIC,
     AchromaticGate,
@@ -160,7 +159,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.hue is None:
         descriptor = classify_color(partition, args.rgb)
     else:
-        descriptor = FuzzyColorDescriptor(partition.memberships(wrap(args.hue)), 0.0)
+        descriptor = FuzzyColorDescriptor(partition.memberships(args.hue), 0.0)
     for name, value in descriptor.labeled_masses():
         if value > 0.0:
             print(f"{name} {value:.3f}")

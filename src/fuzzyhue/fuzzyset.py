@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ._value import Value, _number, _shown
+from ._value import Value, _number
 from .circle import PERIOD, TOL, Arc, wrap
 
 
@@ -46,14 +46,8 @@ class CircularTrapezoid(Value):
         object.__setattr__(self, "_span", span)
 
     def membership(self, hue: float) -> float:
-        """Membership degree of ``hue % 360``, in [0, 1]; NaN or infinite raises ValueError."""
-        try:
-            h = hue % PERIOD
-        except OverflowError:
-            # An int too large for a float.
-            h = float("nan")
-        if h != h:
-            raise ValueError(f"hue must be finite, got {_shown(hue)}")
+        """Membership degree at ``wrap(hue)``, in [0, 1]; NaN or infinite raises ValueError."""
+        h = wrap(hue)
         up = (h - self.a) % PERIOD
         if up < self._rise:
             return up / self._rise

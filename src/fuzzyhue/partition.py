@@ -16,7 +16,7 @@ from bisect import bisect_right
 from functools import cached_property, lru_cache
 from typing import Iterable
 
-from ._value import Value, _number, _shown
+from ._value import Value, _number
 from .circle import PERIOD, TOL, wrap
 from .fuzzyset import CircularTrapezoid
 
@@ -199,18 +199,11 @@ class HuePartition(Value):
         """``(k, j, t)`` at ``hue``: category k has membership ``1 - t``, its
         ring successor j has ``t``, and every other category has 0.
 
-        Lookups evaluate at the wrapped hue: for a hue far outside the
-        circle, such as 1e20, ``hue - lo`` rounds ``lo`` away, while ``hue %
-        360`` is exact.
+        Lookups evaluate at ``wrap(hue)``: for a hue far outside the circle,
+        such as 1e20, ``hue - lo`` rounds ``lo`` away, while the wrapped hue
+        is exact.
         """
-        try:
-            wrapped = hue % PERIOD
-        except OverflowError:
-            # An int too large for a float.
-            wrapped = float("nan")
-        # NaN and both infinities leave NaN here.
-        if wrapped != wrapped:
-            raise ValueError(f"hue must be finite, got {_shown(hue)}")
+        wrapped = wrap(hue)
         starts, zones = self._zones
         k, j, lo, w = zones[bisect_right(starts, wrapped) - 1]
         return k, j, (wrapped - lo) % PERIOD / w if w else 0.0
@@ -220,8 +213,8 @@ class HuePartition(Value):
 
         At most two entries are nonzero and the values sum to exactly one:
         in binary64, ``t + (1 - t) == 1`` for every ``t`` in [0, 1]. A hue
-        outside [0, 360) is evaluated at its position on the circle, ``hue %
-        360``; one that is NaN or infinite raises ValueError.
+        outside [0, 360) is evaluated at its position on the circle,
+        ``wrap(hue)``; one that is NaN or infinite raises ValueError.
         """
         names = self.names
         k, j, t = self._split(hue)
@@ -234,7 +227,7 @@ class HuePartition(Value):
         """Crisp winner at ``hue``; an exact tie goes to the lower ring index.
 
         On the zone that wraps from the last category to the first, that is
-        the first. Like :meth:`memberships`, it evaluates at ``hue % 360``,
+        the first. Like :meth:`memberships`, it evaluates at ``wrap(hue)``,
         and a hue that is NaN or infinite raises ValueError.
         """
         k, j, t = self._split(hue)

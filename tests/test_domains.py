@@ -193,9 +193,9 @@ class TestRule:
 @pytest.mark.parametrize("hue", [math.nan, math.inf, -math.inf])
 def test_membership_refuses_non_finite_hues(name, hue):
     t = COLIBRI.fuzzy_set(name)
-    with pytest.raises(ValueError, match="hue must be finite"):
+    with pytest.raises(ValueError, match="angle must be finite"):
         t.membership(hue)
-    with pytest.raises(ValueError, match="hue must be finite"):
+    with pytest.raises(ValueError, match="angle must be finite"):
         t(hue)
 
 
@@ -240,7 +240,7 @@ def test_plot_sizes_are_bounded(field):
     assert getattr(PlotConfig(**{field: 100_000}), field) == 100_000
 
 
-# Every angle path, with the huge int in the argument that is an angle.
+# Every angle path, with the refused value in the argument that is an angle.
 ANGLE_PATHS = [
     ("wrap", wrap),
     ("Arc.start", lambda x: Arc(x, 10.0)),
@@ -250,6 +250,7 @@ ANGLE_PATHS = [
     ("HuePartition.memberships", COLIBRI.memberships),
     ("HuePartition.category_of", COLIBRI.category_of),
     ("CircularTrapezoid.membership", YELLOW.membership),
+    ("CircularTrapezoid.__call__", YELLOW),
     ("hsv_to_rgb", hsv_to_rgb),
     ("Arc.rotated", Arc(0.0, 90.0).rotated),
     ("CircularTrapezoid.rotated", YELLOW.rotated),
@@ -260,12 +261,16 @@ ANGLE_PATHS = [
 @pytest.mark.parametrize("call", [p[1] for p in ANGLE_PATHS], ids=[p[0] for p in ANGLE_PATHS])
 @pytest.mark.parametrize(
     "angle, shown",
-    [(10**400, "1000"), (-(10**400), "-1000"), (10**5000, "an int of 5001 digits")],
-    ids=["1e400", "-1e400", "1e5000"],
+    [
+        (10**400, "1000"), (-(10**400), "-1000"), (10**5000, "an int of 5001 digits"),
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    ],
+    ids=["1e400", "-1e400", "1e5000", "nan", "inf", "-inf"],
 )
 def test_ints_too_large_for_a_float_are_refused_as_angles(call, angle, shown):
-    # Converting such an int to a float raises OverflowError.
-    with pytest.raises(ValueError, match=f"must be finite, got {shown}"):
+    # Converting such an int to a float raises OverflowError; every angle
+    # path refuses it with the message it gives NaN and the infinities.
+    with pytest.raises(ValueError, match=f"^angle must be finite, got {shown}"):
         call(angle)
 
 

@@ -101,6 +101,12 @@ class TestMembership:
     def test_callable(self):
         assert YELLOW(46.0) == 1.0
 
+    @pytest.mark.parametrize("hue", [-5e-324, -1e-300, -1e-20, -2e-14])
+    def test_tiny_negative_hue_is_zero(self, hue):
+        # hue % 360 rounds up to exactly 360 here, which wrap sends to 0.
+        t = CircularTrapezoid(300.0, 310.0, 350.0, 10.3)
+        assert t.membership(hue).hex() == t.membership(0.0).hex()
+
     def test_matches_brute_formula_on_grid(self, colibri):
         grid = np.arange(0.0, 360.0, 0.05)
         for t in colibri.sets:
