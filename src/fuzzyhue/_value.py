@@ -49,8 +49,9 @@ def _number(
 class Value:
     """Immutable record whose fields are named by ``__match_args__``.
 
-    A subclass writes its own ``__init__``, which sets each field with
-    ``object.__setattr__``. Equality holds only between instances of the same
+    A subclass writes its own ``__init__``, which sets each field in the
+    instance dict, ``fields = self.__dict__; fields["name"] = ...``, as
+    ``__setattr__`` refuses. Equality holds only between instances of the same
     class with equal field tuples, the hash is that of the field tuple, and
     the repr is ``QualName(field=value, ...)``. Other attributes, such as
     derived state, take no part in any of these. Instances keep their

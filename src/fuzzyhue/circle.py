@@ -51,8 +51,9 @@ class Arc(Value):
     __match_args__ = ("start", "end")
 
     def __init__(self, start: float, end: float) -> None:
-        object.__setattr__(self, "start", wrap(start))
-        object.__setattr__(self, "end", wrap(end))
+        fields = self.__dict__
+        fields["start"] = wrap(start)
+        fields["end"] = wrap(end)
 
     @property
     def measure(self) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import colorsys
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -36,9 +35,10 @@ class HsvColor(Value):
     __match_args__ = ("hue", "saturation", "value")
 
     def __init__(self, hue: float | None, saturation: float, value: float) -> None:
-        object.__setattr__(self, "hue", hue)
-        object.__setattr__(self, "saturation", saturation)
-        object.__setattr__(self, "value", value)
+        fields = self.__dict__
+        fields["hue"] = hue
+        fields["saturation"] = saturation
+        fields["value"] = value
 
 
 class AchromaticGate(Value):
@@ -53,8 +53,9 @@ class AchromaticGate(Value):
     __match_args__ = ("s_min", "v_min", "v_max")
 
     def __init__(self, s_min: float = 0.15, v_min: float = 0.10, v_max: float = 1.0) -> None:
+        fields = self.__dict__
         for name, value in zip(self.__match_args__, (s_min, v_min, v_max)):
-            object.__setattr__(self, name, _number(name, value, 0, 1))
+            fields[name] = _number(name, value, 0, 1)
         if v_min > v_max:
             raise ValueError(f"v_min {v_min!r} exceeds v_max {v_max!r}")
 
@@ -78,17 +79,47 @@ def _check_rgb(rgb: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(_number("RGB channel", c, 0, 255, integral=True) for c in (r, g, b))
 
 
+def _hsv(r: int, g: int, b: int) -> tuple[float | None, float, float]:
+    """``(hue, saturation, value)`` of checked 8-bit channels, hue in degrees
+    or None when saturation is 0.
+
+    ``colorsys.rgb_to_hsv``'s operations in its order on ``x / 255.0``, ties
+    going to r, then g, so every result is bitwise ``colorsys``' (hue × 360).
+    """
+    if r > g:
+        hi, lo = r, g
+    else:
+        hi, lo = g, r
+    if b > hi:
+        hi = b
+    elif b < lo:
+        lo = b
+    unit = _UNIT
+    maxc = unit[hi]
+    if hi == lo:
+        return None, 0.0, maxc
+    rangec = maxc - unit[lo]
+    if r == hi:
+        h = (maxc - unit[b]) / rangec - (maxc - unit[g]) / rangec
+    elif g == hi:
+        h = 2.0 + (maxc - unit[r]) / rangec - (maxc - unit[b]) / rangec
+    else:
+        h = 4.0 + (maxc - unit[g]) / rangec - (maxc - unit[r]) / rangec
+    return (h / 6.0) % 1.0 * 360.0, rangec / maxc, maxc
+
+
 def rgb_to_hsv(rgb: tuple[int, int, int]) -> HsvColor:
     """Standard hexcone conversion; hue in degrees [0, 360) or None for grays."""
-    r, g, b = _check_rgb(rgb)
-    h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
-    return HsvColor(None if s == 0.0 else h * 360.0, s, v)
+    return HsvColor(*_hsv(*_check_rgb(rgb)))
 
 
 def hsv_to_rgb(hue: float, saturation: float = 1.0, value: float = 1.0) -> tuple[int, int, int]:
     """Inverse hexcone of a finite hue to 8-bit RGB; ``saturation`` and ``value`` in [0, 1]."""
     _number("saturation", saturation, 0, 1)
     _number("value", value, 0, 1)
+    # Loaded on first use: the forward conversion is _hsv.
+    import colorsys
+
     r, g, b = colorsys.hsv_to_rgb(wrap(hue) / 360.0, saturation, value)
     return round(r * 255), round(g * 255), round(b * 255)
 
@@ -99,8 +130,9 @@ class FuzzyColorDescriptor(Value):
     __match_args__ = ("category_mass", "achromatic_mass")
 
     def __init__(self, category_mass: Mapping[str, float], achromatic_mass: float) -> None:
-        object.__setattr__(self, "category_mass", category_mass)
-        object.__setattr__(self, "achromatic_mass", achromatic_mass)
+        fields = self.__dict__
+        fields["category_mass"] = category_mass
+        fields["achromatic_mass"] = achromatic_mass
 
     def labeled_masses(self) -> list[tuple[str, float]]:
         """All (label, mass) pairs in ring order, achromatic last."""
@@ -118,13 +150,12 @@ def classify_color(
     gate: AchromaticGate = DEFAULT_GATE,
 ) -> FuzzyColorDescriptor:
     """Fuzzy descriptor of one color: memberships of its hue, or all gray."""
-    r, g, b = _check_rgb(rgb)
-    h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
+    hue, s, v = _hsv(*_check_rgb(rgb))
     # The image kernel's order: the gray axis (saturation 0, where the hue
     # is undefined), then value, then saturation.
-    if s == 0.0 or v < gate.v_min or v > gate.v_max or s < gate.s_min:
-        return FuzzyColorDescriptor({name: 0.0 for name in partition.names}, 1.0)
-    return FuzzyColorDescriptor(partition.memberships(h * 360.0), 0.0)
+    if hue is None or v < gate.v_min or v > gate.v_max or s < gate.s_min:
+        return FuzzyColorDescriptor(partition._zeros.copy(), 1.0)
+    return FuzzyColorDescriptor(partition.memberships(hue), 0.0)
 
 
 def _colour_counts(samples: bytes) -> Counter:
@@ -199,7 +230,9 @@ def image_descriptor(
             hi = b
         elif b < lo:
             lo = b
-        # classify_color's gate, tested on the integer max and min before any hue.
+        # _hsv inline, with classify_color's gate tested on the integer max
+        # and min before any float division; a call per colour would slow
+        # this loop.
         maxc = unit[hi]
         if hi == lo or maxc < v_min or maxc > v_max:
             gray += count
@@ -208,8 +241,6 @@ def image_descriptor(
         if rangec / maxc < s_min:
             gray += count
             continue
-        # colorsys.rgb_to_hsv's operations in its order, ties going to r,
-        # then g, so the hue is bitwise the one classify_color uses.
         if r == hi:
             h = (maxc - unit[b]) / rangec - (maxc - unit[g]) / rangec
         elif g == hi:

@@ -60,9 +60,10 @@ class PixelGrid(Value):
             raise ValueError(
                 f"{len(samples)} sample bytes do not hold {width}x{height} RGB pixels"
             )
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "samples", samples)
+        fields = self.__dict__
+        fields["width"] = width
+        fields["height"] = height
+        fields["samples"] = samples
 
     def __repr__(self) -> str:
         # The samples are the raster, too long to show.

@@ -25,8 +25,9 @@ class CircularTrapezoid(Value):
     __match_args__ = ("a", "b", "c", "d")
 
     def __init__(self, a: float, b: float, c: float, d: float) -> None:
+        fields = self.__dict__
         for name, knot in zip(self.__match_args__, (a, b, c, d)):
-            object.__setattr__(self, name, wrap(knot))
+            fields[name] = wrap(knot)
         rise = (self.b - self.a) % PERIOD
         plateau = (self.c - self.b) % PERIOD
         fall = (self.d - self.c) % PERIOD
@@ -40,10 +41,10 @@ class CircularTrapezoid(Value):
                 f"support of {span:.6g} degrees covers the whole circle; "
                 "knots must run in ascending circular order with total span < 360"
             )
-        object.__setattr__(self, "_rise", rise)
-        object.__setattr__(self, "_fall", fall)
-        object.__setattr__(self, "_core_end", rise + plateau)
-        object.__setattr__(self, "_span", span)
+        fields["_rise"] = rise
+        fields["_fall"] = fall
+        fields["_core_end"] = rise + plateau
+        fields["_span"] = span
 
     def membership(self, hue: float) -> float:
         """Membership degree at ``wrap(hue)``, in [0, 1]; NaN or infinite raises ValueError."""

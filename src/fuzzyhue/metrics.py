@@ -45,11 +45,12 @@ class CategoryMetrics(Value):
         left_boundary_width: float,
         right_boundary_width: float,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "wideness_range", wideness_range)
-        object.__setattr__(self, "wideness", wideness)
-        object.__setattr__(self, "left_boundary_width", left_boundary_width)
-        object.__setattr__(self, "right_boundary_width", right_boundary_width)
+        fields = self.__dict__
+        fields["name"] = name
+        fields["wideness_range"] = wideness_range
+        fields["wideness"] = wideness
+        fields["left_boundary_width"] = left_boundary_width
+        fields["right_boundary_width"] = right_boundary_width
 
 
 class AsymmetryReport(Value):
@@ -60,10 +61,11 @@ class AsymmetryReport(Value):
     def __init__(
         self, widest: str, narrowest: str, ratio: float, per_category: tuple[CategoryMetrics, ...]
     ) -> None:
-        object.__setattr__(self, "widest", widest)
-        object.__setattr__(self, "narrowest", narrowest)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "per_category", per_category)
+        fields = self.__dict__
+        fields["widest"] = widest
+        fields["narrowest"] = narrowest
+        fields["ratio"] = ratio
+        fields["per_category"] = per_category
 
 
 def wideness(partition: HuePartition, name: str, alpha: float = 0.5) -> float:
@@ -169,10 +171,11 @@ class Check(Value):
     __match_args__ = ("name", "ok", "worst", "hue")
 
     def __init__(self, name: str, ok: bool, worst: float, hue: float | None) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "worst", worst)
-        object.__setattr__(self, "hue", hue)
+        fields = self.__dict__
+        fields["name"] = name
+        fields["ok"] = ok
+        fields["worst"] = worst
+        fields["hue"] = hue
 
 
 def _circular_distance(a: float, b: float) -> float:

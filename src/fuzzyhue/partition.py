@@ -80,9 +80,9 @@ class BoundarySpec(Value):
     __match_args__ = ("position", "width")
 
     def __init__(self, position: float, width: float) -> None:
-        object.__setattr__(self, "position", wrap(position))
-        _number("transition width", width, 0, 360, open_low=True, open_high=True)
-        object.__setattr__(self, "width", width)
+        fields = self.__dict__
+        fields["position"] = wrap(position)
+        fields["width"] = _number("transition width", width, 0, 360, open_low=True, open_high=True)
 
 
 class HuePartition(Value):
@@ -106,8 +106,9 @@ class HuePartition(Value):
     def __init__(self, names: Iterable[str], boundaries: Iterable[BoundarySpec]) -> None:
         # Tuples keep the partition hashable and equal to one built from lists.
         names, boundaries = tuple(names), tuple(boundaries)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "boundaries", boundaries)
+        fields = self.__dict__
+        fields["names"] = names
+        fields["boundaries"] = boundaries
         n = len(boundaries)
         if n < 2:
             raise PartitionError("a partition needs at least 2 categories")
@@ -157,7 +158,7 @@ class HuePartition(Value):
                 # A zone narrower than the spacing of floats near its crossing
                 # collapses a shoulder to zero width.
                 raise PartitionError(f"category {name!r}: {exc}") from None
-        object.__setattr__(self, "sets", tuple(sets))
+        fields["sets"] = tuple(sets)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -195,6 +196,12 @@ class HuePartition(Value):
         starts, zones = zip(*sorted(pieces))
         return starts, zones
 
+    @cached_property
+    def _zeros(self) -> dict[str, float]:
+        """Membership 0.0 for every name, in ring order: a template that
+        lookups copy and never hand out."""
+        return dict.fromkeys(self.names, 0.0)
+
     def _split(self, hue: float) -> tuple[int, int, float]:
         """``(k, j, t)`` at ``hue``: category k has membership ``1 - t``, its
         ring successor j has ``t``, and every other category has 0.
@@ -218,7 +225,7 @@ class HuePartition(Value):
         """
         names = self.names
         k, j, t = self._split(hue)
-        values = dict.fromkeys(names, 0.0)
+        values = self._zeros.copy()
         values[names[j]] = t
         values[names[k]] = 1.0 - t
         return values

@@ -34,11 +34,12 @@ class PlotConfig(Value):
         _number("alpha_line", alpha_line, 0, 1, open_low=True)
         if not isinstance(show_labels, bool):
             raise ValueError(f"show_labels must be a bool, got {show_labels!r}")
-        object.__setattr__(self, "width_px", width_px)
-        object.__setattr__(self, "height_px", height_px)
-        object.__setattr__(self, "alpha_line", alpha_line)
-        object.__setattr__(self, "sample_step", sample_step)
-        object.__setattr__(self, "show_labels", show_labels)
+        fields = self.__dict__
+        fields["width_px"] = width_px
+        fields["height_px"] = height_px
+        fields["alpha_line"] = alpha_line
+        fields["sample_step"] = sample_step
+        fields["show_labels"] = show_labels
 
 
 def _fmt(value: float) -> str:

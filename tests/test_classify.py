@@ -149,6 +149,16 @@ class TestClassifyColor:
         assert classify_color(colibri, (255, 0, 0), strict).achromatic_mass == 1.0
         assert classify_color(colibri, (255, 0, 0)).achromatic_mass == 0.0
 
+    def test_gray_descriptor_is_a_fresh_dict(self):
+        ring = from_boundaries(builtin_colibri().boundaries, builtin_colibri().names)
+        zeros = dict.fromkeys(ring.names, 0.0)
+        for rgb in (GRAY, (30, 30, 30), GRAY):
+            masses = classify_color(ring, rgb).category_mass
+            assert masses == zeros and list(masses) == list(ring.names), rgb
+            masses["red"] = 1.0
+            masses["extra"] = 2.0
+        assert ring.memberships(100.0) == {**zeros, "green": 1.0}
+
     def test_bitwise_equal_to_hsv_color_path(self, colibri):
         """Equal to gating and looking up the ``rgb_to_hsv`` result, on 100k
         seeded colours under two gates."""
@@ -439,10 +449,41 @@ OPEN_GATE = AchromaticGate(0.0, 0.0, 1.0)
 LEVELS = (0, 1, 2, 37, 127, 128, 200, 254, 255)
 
 
+def hsv_bits(hue, saturation, value):
+    return (None if hue is None else hue.hex(), saturation.hex(), value.hex())
+
+
+class TestHexconeIsColorsys:
+    """``rgb_to_hsv`` is bit for bit ``colorsys.rgb_to_hsv`` of ``x / 255.0``,
+    with the hue times 360 and None where the saturation is 0. CI checks
+    every 8-bit colour."""
+
+    @staticmethod
+    def check(rgb):
+        h, s, v = colorsys.rgb_to_hsv(*(c / 255.0 for c in rgb))
+        expected = hsv_bits(None if s == 0.0 else h * 360.0, s, v)
+        assert hsv_bits(*rgb_to_hsv(rgb)._fields()) == expected, rgb
+
+    def test_every_gray(self):
+        for v in range(256):
+            self.check((v, v, v))
+
+    def test_every_ordering_and_tie(self):
+        for rgb in product(LEVELS, repeat=3):
+            self.check(rgb)
+
+    def test_seeded_sample(self):
+        rng = random.Random(20)
+        for _ in range(5000):
+            self.check((rng.randrange(256), rng.randrange(256), rng.randrange(256)))
+
+
 @pytest.mark.parametrize("ring", EXACTNESS_RINGS.values(), ids=EXACTNESS_RINGS.keys())
 class TestPerColourExactness:
     """``image_descriptor`` of a one-pixel image is bit for bit the
-    ``classify_color`` descriptor of that colour, which converts with
+    ``classify_color`` descriptor of that colour. Both compute the hexcone
+    with ``colorsys``' operations, the kernel inline and ``classify_color``
+    through ``_hsv``, which :class:`TestHexconeIsColorsys` pins to
     ``colorsys``."""
 
     @staticmethod

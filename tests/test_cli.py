@@ -1,4 +1,3 @@
-import colorsys
 import contextlib
 import io
 import json
@@ -19,6 +18,7 @@ from fuzzyhue import (
     CircularTrapezoid,
     HuePartition,
     builtin_colibri,
+    classify,
     cli,
     dump_partition,
     export_metrics_csv,
@@ -92,10 +92,10 @@ class TestClassifyCommand:
 
     def test_rgb_converts_once(self, capsys, monkeypatch):
         calls = []
-        convert = colorsys.rgb_to_hsv
-        monkeypatch.setattr(colorsys, "rgb_to_hsv", lambda *rgb: calls.append(rgb) or convert(*rgb))
+        convert = classify._hsv
+        monkeypatch.setattr(classify, "_hsv", lambda *rgb: calls.append(rgb) or convert(*rgb))
         run(capsys, "classify", "--rgb", "200,150,40")
-        assert len(calls) == 1
+        assert calls == [(200, 150, 40)]
 
     def test_hue_looks_up_once(self, capsys, monkeypatch):
         # One zone table lookup, and no trapezoid is evaluated.

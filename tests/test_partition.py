@@ -430,6 +430,18 @@ class TestHuePartition:
         assert p == colibri and hash(p) == hash(colibri)
         assert "sets" not in repr(p)
 
+    def test_lookups_copy_the_zero_template(self, colibri):
+        p = HuePartition(colibri.names, colibri.boundaries)
+        for hue in (100.0, 50.0, 300.0, 100.0):
+            values = p.memberships(hue)
+            assert values == colibri.memberships(hue) and list(values) == list(RING), hue
+            for name in values:
+                values[name] = 0.5
+            values["extra"] = 1.0
+        assert "_zeros" in vars(p)
+        assert p == colibri and hash(p) == hash(colibri)
+        assert repr(p) == repr(colibri) and "_zeros" not in repr(p)
+
     def test_list_fields_are_stored_as_tuples(self, colibri):
         p = HuePartition(list(colibri.names), list(colibri.boundaries))
         assert (type(p.names), type(p.boundaries)) == (tuple, tuple)

@@ -223,11 +223,11 @@ def test_construction_errors(build, error, match):
 
 def test_import_loads_no_dataclass_machinery():
     # -S keeps site (and whatever it imports) out, so only fuzzyhue's own
-    # imports are seen. json, html and csv are loaded by the functions that
-    # use them.
+    # imports are seen. json, html, csv, array and colorsys are loaded by the
+    # functions that use them.
     code = (
-        "import sys; import fuzzyhue; print(sorted("
-        "{'dataclasses', 'inspect', 'ast', 'dis', 'json', 'html', 'csv'} & set(sys.modules)))"
+        "import sys; import fuzzyhue; print(sorted({'dataclasses', 'inspect', 'ast', 'dis',"
+        " 'json', 'html', 'csv', 'array', 'colorsys'} & set(sys.modules)))"
     )
     src = str(Path(fuzzyhue.__file__).resolve().parent.parent)
     out = subprocess.run(
