@@ -25,8 +25,10 @@ _RGB_WORD_OFFSETS = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 # The float colorsys sees for each 8-bit channel value, x / 255.0.
 _UNIT = tuple(x / 255.0 for x in range(256))
 
-# Strided slices that pixel pairs are counted in; see _colour_counts.
-_PAIR_SLICES = 16
+# Pixels in a tile, and about how many blocks the tiles are counted in; see
+# _colour_counts.
+_TILE = 16
+_BLOCKS = 16
 
 
 class HsvColor(Value):
@@ -158,38 +160,69 @@ def classify_color(
     return FuzzyColorDescriptor(partition.memberships(hue), 0.0)
 
 
-def _colour_counts(samples: bytes) -> Counter:
-    """Pixels of each colour in packed RGB samples, keyed by word 0x00RRGGBB."""
-    # One native word per pixel, spread by three strided copies, so the
-    # colours are counted without building a tuple per pixel.
-    n = len(samples) // 3
-    words = bytearray(4 * n)
+def _words(samples: bytes) -> memoryview:
+    """One native word 0x00RRGGBB per pixel of packed RGB samples.
+
+    Three strided copies spread the channels, so no tuple is built per pixel.
+    """
+    words = bytearray(len(samples) // 3 * 4)
     for channel, offset in enumerate(_RGB_WORD_OFFSETS):
         words[offset::4] = samples[channel::3]
-    view = memoryview(words)
-    # Two neighbouring words read as one 8-byte word, a pixel pair. Where
-    # pairs repeat (flat fills, runs of a colour, posterized ramps) counting
-    # them halves the items counted, and each distinct pair is split after.
-    # The pairs are counted in _PAIR_SLICES strided slices, each a sample of
-    # the whole image. From the second slice on, once more than one pair in
-    # 8 is new (photos, noise), splitting would cost more than it saves, so
-    # the pixels are counted one by one instead.
-    pairs = view[: n // 2 * 8].cast("Q")
-    counts = Counter()
-    for start in range(_PAIR_SLICES):
-        known = len(counts)
-        part = pairs[start::_PAIR_SLICES]
-        counts.update(part)
-        if start and 8 * (len(counts) - known) > len(part):
-            del counts
-            return Counter(view.cast("I"))
-    # The odd pixel of an odd count is no pair's half.
-    colours = Counter(view[n // 2 * 8 :].cast("I"))
+    return memoryview(words)
+
+
+def _colour_counts(samples: bytes) -> Counter:
+    """Pixels of each colour in packed RGB samples, keyed by word 0x00RRGGBB.
+
+    The samples are cut into tiles of _TILE neighbouring pixels (a tile may
+    run on into the next row), and the tiles are counted first, block by
+    block, in about _BLOCKS contiguous blocks. Where tiles repeat (flat
+    fills, posterized ramps, repeated or shifted rows) this counts a
+    sixteenth as many items. Once more than one tile in 3 of a block was not
+    seen before, as in photos and noise, every later block is counted pixel
+    by pixel: where each distinct tile recurs only three times, splitting
+    the tiles costs about what counting their pixels does. Counts add up, so
+    the blocks already counted by tiles keep their counts. The tail of fewer
+    than _TILE pixels is counted pixel by pixel too.
+    """
+    # Loaded on first use: only images need it; re keeps the compiled pattern.
+    import re
+
+    tile_bytes = 3 * _TILE
+    tiles_of = re.compile(rb"(?s).{%d}" % tile_bytes).findall
+    n = len(samples) // 3
+    end = n // _TILE * tile_bytes
+    step = -(-n // _TILE // _BLOCKS) * tile_bytes
+    view = memoryview(samples)
+    tiles = Counter()
+    start = 0
+    while start < end:
+        found = tiles_of(view[start : min(start + step, end)])
+        known = len(tiles)
+        tiles.update(found)
+        start += len(found) * tile_bytes
+        if 3 * (len(tiles) - known) > len(found):
+            break
+    colours = Counter(_words(samples[start:]).cast("I"))
+    # A tile seen once is counted as its pixels, all such tiles in one go.
+    # Tiles seen m times are grouped by m, and each group is counted once by
+    # neighbouring pixel pairs, two words read as one 8-byte word; each
+    # distinct pair is then split into its two colours, weighted by m.
+    once = []
+    repeated = {}
+    for tile, m in tiles.items():
+        if m == 1:
+            once.append(tile)
+        else:
+            repeated.setdefault(m, []).append(tile)
+    colours.update(_words(b"".join(once)).cast("I"))
     get = colours.get
-    for key, count in counts.items():
-        first, second = key & 0xFFFFFFFF, key >> 32
-        colours[first] = get(first, 0) + count
-        colours[second] = get(second, 0) + count
+    for m, group in repeated.items():
+        for key, count in Counter(_words(b"".join(group)).cast("Q")).items():
+            count *= m
+            first, second = key & 0xFFFFFFFF, key >> 32
+            colours[first] = get(first, 0) + count
+            colours[second] = get(second, 0) + count
     return colours
 
 
@@ -200,8 +233,9 @@ def image_descriptor(
 ) -> FuzzyColorDescriptor:
     """Equal-weight average of the per-pixel descriptors of an image.
 
-    Colors are counted by neighbouring pixel pairs where pairs repeat, and
-    pixel by pixel where they do not. Each distinct color is then
+    Colors are counted by tiles of 16 neighbouring pixels, block by block,
+    while tiles repeat, and pixel by pixel after the first block in which
+    they do not (see _colour_counts). Each distinct color is then
     classified once and its counted masses reduced with exact (compensated)
     summation, so the result is identical for any pixel ordering.
     """

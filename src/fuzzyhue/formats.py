@@ -39,21 +39,30 @@ class PixelGrid(Value):
     """Row-major 8-bit RGB raster, stored as packed samples (R, G, B per pixel).
 
     ``width`` and ``height`` are positive ``int``s (``bool`` refused), and
-    ``pixels`` is either that packed ``bytes`` form or a sequence of RGB
-    triples, which is checked (each channel an ``int`` in [0, 255], ``bool``
-    refused) and packed once. A grid equals and hashes like any other grid of
-    the same size and samples, however it was built.
+    ``pixels`` is either that packed form or a sequence of RGB triples, which
+    is checked (each channel an ``int`` in [0, 255], ``bool`` refused) and
+    packed once. The packed form is ``bytes``, or a ``bytearray`` or a
+    ``memoryview`` of single bytes, which is copied to ``bytes``. A grid
+    equals and hashes like any other grid of the same size and samples,
+    however it was built.
     """
 
     __match_args__ = ("width", "height", "samples")
 
     def __init__(
-        self, width: int, height: int, pixels: bytes | Sequence[tuple[int, int, int]]
+        self,
+        width: int,
+        height: int,
+        pixels: bytes | bytearray | memoryview | Sequence[tuple[int, int, int]],
     ) -> None:
         _number("width", width, 1, integral=True)
         _number("height", height, 1, integral=True)
         if isinstance(pixels, bytes):
             samples = pixels
+        elif isinstance(pixels, bytearray) or (
+            isinstance(pixels, memoryview) and pixels.itemsize == 1
+        ):
+            samples = bytes(pixels)
         else:
             samples = bytes(v for rgb in pixels for v in _check_rgb(rgb))
         if len(samples) != 3 * width * height:

@@ -24,6 +24,7 @@ from fuzzyhue import (
     rgb_to_hsv,
     wrap,
 )
+from fuzzyhue import classify
 from fuzzyhue.classify import DEFAULT_GATE, FuzzyColorDescriptor, _colour_counts
 from conftest import fall_tolerance, random_boundary_specs, zone_rule
 
@@ -246,8 +247,9 @@ def colour_count_cases():
         "runs and an odd pixel": (a * 4 + b * 4) * 300 + c,
         "three colours in every pair order": b"".join(rng.choice((a, b, c)) for _ in range(4001)),
         "noise": rng.randbytes(3 * 4096),
-        # Pair i is counted in slice i % 16: the first 8 slices hold one pair
-        # and the last 8 only new ones, so the count turns to pixels halfway.
+        # Of each 16 neighbouring pairs, the first 8 are the pair a + b and the
+        # last 8 are new: every other 16-pixel tile is the same tile and the
+        # rest are new, so the count turns to pixels after the first block.
         "new pairs from slice 8": b"".join(
             a + b if i % 16 < 8 else distinct[i] for i in range(4096)
         ),
@@ -255,6 +257,97 @@ def colour_count_cases():
 
 
 COLOUR_COUNT_CASES = colour_count_cases()
+
+
+def ramp_row(width, steps, value):
+    """A hue ramp posterized to ``steps`` hues across ``width`` pixels, packed."""
+    return b"".join(
+        bytes(round(c * 255) for c in colorsys.hsv_to_rgb(x * steps // width / steps, 0.8, value))
+        for x in range(width)
+    )
+
+
+def shifted_rows(width, height, steps):
+    """Ramps whose row y is rotated left by y pixels, with a new value every
+    ``width`` rows, so no two rows are equal."""
+    bands = -(-height // width)
+    ramps = [ramp_row(width, steps, (v + 1) / (bands + 1)) for v in range(bands)]
+    rows = []
+    for y in range(height):
+        ramp, shift = ramps[y // width], 3 * (y % width)
+        rows.append(ramp[shift:] + ramp[:shift])
+    return b"".join(rows)
+
+
+def tile_cases():
+    """(width, height, samples, pixels counted past the tile-counted blocks).
+
+    A 40x256 image has 640 tiles of 16 pixels, counted in 16 blocks of 40
+    tiles (16 rows); 40 is no multiple of 16, so every fifth tile runs on
+    into the next row.
+    """
+    rng = random.Random(21)
+    width, height, block = 40, 256, 640
+    n = width * height
+    flat = ramp_row(width, 8, 0.7) * height
+    noise = rng.randbytes(len(flat))
+    half = len(flat) // 2
+    sprinkled = bytearray(flat)
+    for i in range(0, len(sprinkled), 3 * 151):
+        sprinkled[i : i + 3] = rng.randbytes(3)
+    return {
+        # Five distinct tiles, each seen 128 times: no block switches.
+        "flat ramp, tiles straddling rows": (width, height, flat, 0),
+        # Every tile new: block 0 is counted by tiles, the rest by pixels.
+        "noise": (width, height, noise, n - block),
+        # Blocks 0-7 are flat; block 8, the first of noise, switches.
+        "flat above noise": (width, height, flat[:half] + noise[half:], n - 9 * block),
+        "noise above flat": (width, height, noise[:half] + flat[half:], n - block),
+        # Every start of a 16-pixel window recurs within a block, though no
+        # row repeats.
+        "row-shifted ramp": (150, 360, shifted_rows(150, 360, 4), 0),
+        # One pixel in 151 is noise: its tile is seen once, among tiles seen
+        # many times.
+        "tiles seen once and several times": (width, height, bytes(sprinkled), 0),
+    }
+
+
+TILE_CASES = tile_cases()
+
+
+def traced_counts(monkeypatch, samples):
+    """_colour_counts of samples, and the pixels of each buffer it turns into
+    words: first those past its tile-counted blocks, then the tiles seen once,
+    then each group of tiles seen equally often."""
+    sizes = []
+    words = classify._words
+
+    def spy(buffer):
+        sizes.append(len(buffer) // 3)
+        return words(buffer)
+
+    monkeypatch.setattr(classify, "_words", spy)
+    counts = _colour_counts(samples)
+    monkeypatch.undo()
+    return counts, sizes
+
+
+@st.composite
+def palette_grids(draw):
+    """Grids of random size whose pixels repeat a motif over a small palette,
+    with a drawn share of pixels redrawn at random: tiles repeat in some
+    images and blocks and not in others."""
+    width = draw(st.integers(1, 80))
+    height = draw(st.integers(1, 80))
+    colours = draw(st.lists(RGB, min_size=1, max_size=5))
+    motif = draw(st.lists(st.integers(0, len(colours) - 1), min_size=1, max_size=48))
+    share = draw(st.sampled_from((0.0, 0.01, 0.1, 0.5, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    picks = [
+        rng.randrange(len(colours)) if rng.random() < share else motif[i % len(motif)]
+        for i in range(width * height)
+    ]
+    return PixelGrid(width, height, bytes(c for i in picks for c in colours[i]))
 
 
 class TestImageDescriptor:
@@ -405,6 +498,61 @@ class TestImageDescriptor:
     def test_colour_counts_are_per_pixel_counts(self, case):
         samples = COLOUR_COUNT_CASES[case]
         assert _colour_counts(samples) == pixel_counts(samples)
+
+    @pytest.mark.parametrize("case", list(TILE_CASES))
+    def test_tile_counts_are_per_pixel_counts(self, colibri, monkeypatch, case):
+        width, height, samples, past_tiles = TILE_CASES[case]
+        counts, sizes = traced_counts(monkeypatch, samples)
+        assert counts == pixel_counts(samples)
+        assert sizes[0] == past_tiles
+        grid = PixelGrid(width, height, samples)
+        assert bits(image_descriptor(colibri, grid)) == bits(
+            scan_descriptor(colibri, grid, DEFAULT_GATE)
+        )
+
+    def test_tiles_seen_once_and_several_times(self, monkeypatch):
+        _, sizes = traced_counts(monkeypatch, TILE_CASES["tiles seen once and several times"][2])
+        past_tiles, seen_once, *seen_several = sizes
+        assert past_tiles == 0 and seen_once and seen_several
+
+    def test_no_two_rows_of_the_shifted_ramp_are_equal(self):
+        width, height, samples, _ = TILE_CASES["row-shifted ramp"]
+        rows = {samples[y * 3 * width : (y + 1) * 3 * width] for y in range(height)}
+        assert len(rows) == height and width % 16
+
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 7), (3, 5), (15, 1)])
+    def test_fewer_than_a_tile_of_pixels(self, colibri, monkeypatch, size):
+        width, height = size
+        samples = random.Random(width * height).randbytes(3 * width * height)
+        counts, sizes = traced_counts(monkeypatch, samples)
+        assert counts == pixel_counts(samples)
+        assert sizes[0] == width * height
+        grid = PixelGrid(width, height, samples)
+        assert bits(image_descriptor(colibri, grid)) == bits(
+            scan_descriptor(colibri, grid, DEFAULT_GATE)
+        )
+
+    @pytest.mark.parametrize("tail", range(1, 16))
+    def test_a_tail_past_the_last_tile(self, colibri, monkeypatch, tail):
+        # 64 copies of one tile, then `tail` pixels, the first a new colour
+        # and the rest the tile's colours.
+        a, b = GREEN_100, YELLOW_46
+        pixels = [a, a, a, a, b, b, b, b] * 128 + [GRAY] + [a, b] * 7
+        grid = grid_of(pixels[: 1024 + tail])
+        counts, sizes = traced_counts(monkeypatch, grid.samples)
+        assert counts == pixel_counts(grid.samples)
+        assert sizes[0] == tail
+        assert bits(image_descriptor(colibri, grid)) == bits(
+            scan_descriptor(colibri, grid, DEFAULT_GATE)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=palette_grids())
+    def test_palette_images_count_and_describe_per_pixel(self, colibri, grid):
+        assert _colour_counts(grid.samples) == pixel_counts(grid.samples)
+        assert bits(image_descriptor(colibri, grid)) == bits(
+            scan_descriptor(colibri, grid, DEFAULT_GATE)
+        )
 
     @pytest.mark.parametrize(
         "bad", [(True, 0, 0), (1.0, 0, 0), (0, 256, 0), (0, 0, -1), (1, 2), (1, 2, 3, 4)]

@@ -375,6 +375,26 @@ class TestPixelGrid:
         assert PixelGrid(4, 3, from_bytes.pixels) == from_bytes
         assert from_bytes != PixelGrid(3, 4, packed)
 
+    @pytest.mark.parametrize(
+        "wrap", [bytearray, memoryview, lambda b: memoryview(bytearray(b)).cast("c")]
+    )
+    def test_bytearray_and_byte_memoryview_are_packed_samples(self, wrap):
+        # These used to be read as a sequence of triples, and unpacking their
+        # first int raised a bare TypeError.
+        packed = bytes([1, 2, 3, 250, 0, 7])
+        grid = PixelGrid(2, 1, wrap(packed))
+        assert type(grid.samples) is bytes
+        assert grid == PixelGrid(2, 1, packed)
+        assert hash(grid) == hash(PixelGrid(2, 1, packed))
+        assert grid.pixels == ((1, 2, 3), (250, 0, 7))
+        assert PixelGrid(1, 1, wrap(b"\x01\x02\x03")).pixels == ((1, 2, 3),)
+
+    def test_packed_samples_are_copied(self):
+        buffer = bytearray(3)
+        grid = PixelGrid(1, 1, memoryview(buffer))
+        buffer[0] = 9
+        assert grid.samples == bytes(3)
+
     @pytest.mark.parametrize("size", [5, 11, 13, 0, 9, 15])
     def test_sample_bytes_must_fill_the_raster(self, size):
         # 2x2 needs exactly 12 bytes: lengths off a multiple of 3 and whole
