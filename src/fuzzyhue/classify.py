@@ -8,7 +8,7 @@ from collections import Counter
 from math import fsum
 from typing import TYPE_CHECKING, Mapping
 
-from ._value import Value, _number
+from ._value import Value, _number, _shown
 from .circle import wrap
 from .partition import HuePartition
 
@@ -70,7 +70,11 @@ def _check_rgb(rgb: tuple[int, int, int]) -> tuple[int, int, int]:
 
     Anything but exactly three values raises ValueError, like a bad channel.
     """
-    r, g, b = rgb
+    try:
+        r, g, b = rgb
+    except TypeError:
+        # Not iterable; a wrong count of values is a ValueError already.
+        raise ValueError(f"RGB must be three channels, got {_shown(rgb)}") from None
     # Exact ints in range are the common case; subclasses (IntEnum, bool)
     # and everything else go through the full check.
     if (

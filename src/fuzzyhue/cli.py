@@ -9,6 +9,8 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -184,7 +186,16 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     partition = _load_model(args)
     cfg = PlotConfig(alpha_line=args.alpha)
     renderer = render_memberships if args.kind == "memberships" else render_spectrum
-    Path(args.out).write_text(renderer(partition, cfg), encoding="utf-8")
+    svg = renderer(partition, cfg)
+    # Write over the old file and then cut it to the written length: on
+    # ext4, truncating a recently written file to zero (O_TRUNC) waits for
+    # the writeback its last close started. A pipe or a device such as
+    # /dev/null cannot be cut, so only a regular file is.
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8") as f:
+        f.write(svg)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
     return 0
 
 

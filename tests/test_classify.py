@@ -110,6 +110,20 @@ class TestRgbToHsv:
         with pytest.raises(ValueError):
             rgb_to_hsv(bad)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: classify_color(builtin_colibri(), 5),
+            lambda: rgb_to_hsv(None),
+            lambda: PixelGrid(1, 1, [1, 2, 3]),
+        ],
+        ids=["classify_color-int", "rgb_to_hsv-None", "PixelGrid-ints"],
+    )
+    def test_value_that_cannot_be_unpacked_is_value_error(self, call):
+        # These used to raise a bare "TypeError: cannot unpack non-iterable".
+        with pytest.raises(ValueError, match=r"^RGB must be three channels, got (5|None|1)$"):
+            call()
+
     def test_int_enum_channel_accepted(self):
         class Level(IntEnum):
             LOW = 10

@@ -173,6 +173,107 @@ class TestPlotCommand:
         assert code == 1
 
 
+SPECTRUM_BYTES = render_spectrum(builtin_colibri()).encode()
+MEMBERSHIPS_BYTES = render_memberships(builtin_colibri(), PlotConfig(alpha_line=0.5)).encode()
+
+
+class TestPlotWritesInPlace:
+    """``plot --out`` writes over the named file and cuts it to length."""
+
+    def test_longer_file_shrinks_to_the_figure(self, capsys, tmp_path):
+        out_path = tmp_path / "fig.svg"
+        out_path.write_bytes(MEMBERSHIPS_BYTES + b"x" * 1000)
+        assert len(MEMBERSHIPS_BYTES) > len(SPECTRUM_BYTES)
+        code, out, err = run(capsys, "plot", "spectrum", "--out", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_bytes() == SPECTRUM_BYTES
+
+    def test_shorter_file_grows_to_the_figure(self, capsys, tmp_path):
+        out_path = tmp_path / "fig.svg"
+        out_path.write_bytes(b"<svg/>")
+        code, _, _ = run(capsys, "plot", "memberships", "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == MEMBERSHIPS_BYTES
+
+    def test_symlink_target_gets_the_figure(self, capsys, tmp_path):
+        target = tmp_path / "target.svg"
+        target.write_bytes(MEMBERSHIPS_BYTES)
+        link = tmp_path / "link.svg"
+        try:
+            link.symlink_to(target)
+        except OSError:
+            pytest.skip("symlinks are not available")
+        code, _, _ = run(capsys, "plot", "spectrum", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == SPECTRUM_BYTES
+
+    def test_permission_bits_are_kept(self, capsys, tmp_path):
+        out_path = tmp_path / "fig.svg"
+        out_path.write_bytes(b"old")
+        out_path.chmod(0o640)
+        before = out_path.stat().st_mode
+        code, _, _ = run(capsys, "plot", "spectrum", "--out", str(out_path))
+        assert code == 0
+        assert out_path.stat().st_mode == before
+        assert out_path.read_bytes() == SPECTRUM_BYTES
+
+    def test_devnull(self, capsys):
+        code, out, err = run(capsys, "plot", "spectrum", "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_into_a_pipe(self):
+        # A pipe cannot be cut to length, so it must not be tried.
+        result = subprocess.run(
+            [sys.executable, "-m", "fuzzyhue.cli", "plot", "spectrum", "--out", "/dev/stdout"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == SPECTRUM_BYTES
+
+    @pytest.mark.parametrize("name", [".", "missing/fig.svg"])
+    def test_unwritable_path_reports_the_os_error(self, capsys, tmp_path, name):
+        out_path = str(tmp_path / name)
+        with pytest.raises(OSError) as refused:
+            open(out_path, "w", encoding="utf-8")
+        code, out, err = run(capsys, "plot", "spectrum", "--out", out_path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {refused.value}\n"
+        assert err.startswith("error: [Errno ")
+
+    def test_render_error_leaves_the_old_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(partition, cfg=None):
+            raise ValueError("cannot draw")
+
+        monkeypatch.setattr(cli, "render_spectrum", refuse)
+        out_path = tmp_path / "fig.svg"
+        out_path.write_bytes(MEMBERSHIPS_BYTES)
+        code, _, err = run(capsys, "plot", "spectrum", "--out", str(out_path))
+        assert (code, err) == (2, "error: cannot draw\n")
+        assert out_path.read_bytes() == MEMBERSHIPS_BYTES
+
+    def test_never_truncates_to_zero(self, capsys, tmp_path, monkeypatch):
+        # O_TRUNC on a recently written file waits for its writeback.
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        out_path = tmp_path / "fig.svg"
+        for kind in ("memberships", "spectrum"):
+            code, _, _ = run(capsys, "plot", kind, "--out", str(out_path))
+            assert code == 0
+        assert len(flags) == 2
+        assert not any(flag & os.O_TRUNC for flag in flags)
+        assert out_path.read_bytes() == SPECTRUM_BYTES
+
+
 class TestValidateCommand:
     def test_builtin_config_passes(self, capsys, tmp_path):
         path = tmp_path / "model.json"
