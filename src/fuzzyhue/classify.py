@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import lru_cache
 from math import fsum
 from typing import TYPE_CHECKING, Mapping
 
@@ -50,6 +51,9 @@ class AchromaticGate(Value):
     above ``v_max`` get all their mass on the achromatic label. The default
     ``v_max`` of 1.0 leaves white ungated. Every threshold lies in [0, 1]
     and ``v_min <= v_max``; anything else (NaN included) raises ValueError.
+
+    For 8-bit colours the gate is also tabulated, as derived state that
+    takes no part in equality, hash or repr: see ``_gray_from``.
     """
 
     __match_args__ = ("s_min", "v_min", "v_max")
@@ -60,6 +64,37 @@ class AchromaticGate(Value):
             fields[name] = _number(name, value, 0, 1)
         if v_min > v_max:
             raise ValueError(f"v_min {v_min!r} exceeds v_max {v_max!r}")
+
+    @property
+    def _gray_from(self) -> tuple[int, ...]:
+        """For each 8-bit max channel ``hi``, the least min channel from
+        which the colour is gray: a colour whose channels have max ``hi``
+        and min ``lo`` is gray exactly when ``lo >= _gray_from[hi]``.
+
+        Equal gates share one table, since ``label`` makes a gate per image.
+        """
+        return _gray_table(self.s_min, self.v_min, self.v_max)
+
+
+@lru_cache(maxsize=16)
+def _gray_table(s_min: float, v_min: float, v_max: float) -> tuple[int, ...]:
+    """``AchromaticGate._gray_from`` of the gate with these thresholds.
+
+    Each entry comes from ``classify_color``'s float rule on the hexcone's
+    ``v = unit[hi]`` and ``s = (v - unit[lo]) / v``. For one ``hi``, ``s``
+    can only fall as ``lo`` rises, since every rounded step is monotone, so
+    a bisection finds where the rule turns gray; ``lo == hi`` (saturation
+    0) always is.
+    """
+    unit = _UNIT
+
+    def gray_from(hi: int) -> int:
+        v = unit[hi]
+        if v < v_min or v > v_max:
+            return 0
+        return bisect_left(range(hi), True, key=lambda lo: (v - unit[lo]) / v < s_min)
+
+    return tuple(gray_from(hi) for hi in range(256))
 
 
 DEFAULT_GATE = AchromaticGate()
@@ -91,27 +126,48 @@ def _hsv(r: int, g: int, b: int) -> tuple[float | None, float, float]:
 
     ``colorsys.rgb_to_hsv``'s operations in its order on ``x / 255.0``, ties
     going to r, then g, so every result is bitwise ``colorsys``' (hue × 360).
+    Three comparisons pick one of the six channel orderings, so each branch
+    knows its max, mid and min channel. ``colorsys`` divides the max's
+    distance from each channel by ``rangec``; for the min channel that is
+    ``rangec / rangec``, exactly 1.0, so each branch writes 1.0 for it and
+    divides once. Only where r is the max and g the min can the sum be
+    negative, so only that branch takes ``% 1.0``.
     """
-    if r > g:
-        hi, lo = r, g
-    else:
-        hi, lo = g, r
-    if b > hi:
-        hi = b
-    elif b < lo:
-        lo = b
     unit = _UNIT
-    maxc = unit[hi]
-    if hi == lo:
-        return None, 0.0, maxc
-    rangec = maxc - unit[lo]
-    if r == hi:
-        h = (maxc - unit[b]) / rangec - (maxc - unit[g]) / rangec
-    elif g == hi:
-        h = 2.0 + (maxc - unit[r]) / rangec - (maxc - unit[b]) / rangec
+    if r >= g:
+        if g >= b:
+            # r >= g >= b; the only ordering with a tie of all three.
+            maxc = unit[r]
+            if r == b:
+                return None, 0.0, maxc
+            rangec = maxc - unit[b]
+            hue = (1.0 - (maxc - unit[g]) / rangec) / 6.0 * 360.0
+        elif r >= b:
+            # r >= b > g
+            maxc = unit[r]
+            rangec = maxc - unit[g]
+            hue = ((maxc - unit[b]) / rangec - 1.0) / 6.0 % 1.0 * 360.0
+        else:
+            # b > r >= g
+            maxc = unit[b]
+            rangec = maxc - unit[g]
+            hue = (5.0 - (maxc - unit[r]) / rangec) / 6.0 * 360.0
+    elif r >= b:
+        # g > r >= b
+        maxc = unit[g]
+        rangec = maxc - unit[b]
+        hue = (2.0 + (maxc - unit[r]) / rangec - 1.0) / 6.0 * 360.0
+    elif g >= b:
+        # g >= b > r
+        maxc = unit[g]
+        rangec = maxc - unit[r]
+        hue = (3.0 - (maxc - unit[b]) / rangec) / 6.0 * 360.0
     else:
-        h = 4.0 + (maxc - unit[g]) / rangec - (maxc - unit[r]) / rangec
-    return (h / 6.0) % 1.0 * 360.0, rangec / maxc, maxc
+        # b > g > r
+        maxc = unit[b]
+        rangec = maxc - unit[r]
+        hue = (4.0 + (maxc - unit[g]) / rangec - 1.0) / 6.0 * 360.0
+    return hue, rangec / maxc, maxc
 
 
 def rgb_to_hsv(rgb: tuple[int, int, int]) -> HsvColor:
@@ -242,6 +298,13 @@ def image_descriptor(
     they do not (see _colour_counts). Each distinct color is then
     classified once and its counted masses reduced with exact (compensated)
     summation, so the result is identical for any pixel ordering.
+
+    Per colour, three comparisons pick one of the six channel orderings
+    (ties as in ``colorsys``: r, then g). The branch tests the gate's
+    integer table (``AchromaticGate._gray_from``) on its max and min
+    channel, and only a chromatic colour gets a hue, by ``_hsv``'s
+    arithmetic for that ordering, one division. The result is bitwise the
+    per-colour ``classify_color`` descriptors, weighted and summed.
     """
     samples = grid.samples
     n = len(samples) // 3
@@ -255,45 +318,77 @@ def image_descriptor(
     # without a float object per mass. Gray pixels are counted apart: a
     # category may be named like the achromatic label.
     terms = [array("d") for _ in partition.names]
+    # The zone table's pieces, each with its two categories' appends and
+    # shifted by one place: zones[i - 1] is pieces[i], so bisect_right's
+    # index needs no - 1, and a hue below the first start (index 0) reads
+    # the last piece.
+    pieces = [(terms[k].append, terms[j].append, lo, w) for k, j, lo, w in zones[-1:] + zones]
     gray = 0
     unit = _UNIT
-    s_min, v_min, v_max = gate.s_min, gate.v_min, gate.v_max
+    gray_from = gate._gray_from
     for key, count in _colour_counts(samples).items():
         r, g, b = key >> 16, key >> 8 & 255, key & 255
-        if r > g:
-            hi, lo = r, g
+        # _hsv inline, branch by branch, with classify_color's gate looked up
+        # on the branch's max and min channel before any float division; a
+        # call per colour would slow this loop. Every gray reason (gray axis,
+        # value, saturation) is a function of that max and min, so a gray
+        # branch can tell it again where it is wanted.
+        if r >= g:
+            if g >= b:
+                if b >= gray_from[r]:
+                    gray += count
+                    continue
+                maxc = unit[r]
+                rangec = maxc - unit[b]
+                hue = (1.0 - (maxc - unit[g]) / rangec) / 6.0 * 360.0
+            elif r >= b:
+                if g >= gray_from[r]:
+                    gray += count
+                    continue
+                maxc = unit[r]
+                rangec = maxc - unit[g]
+                hue = ((maxc - unit[b]) / rangec - 1.0) / 6.0 % 1.0 * 360.0
+            else:
+                if g >= gray_from[b]:
+                    gray += count
+                    continue
+                maxc = unit[b]
+                rangec = maxc - unit[g]
+                hue = (5.0 - (maxc - unit[r]) / rangec) / 6.0 * 360.0
+        elif r >= b:
+            if b >= gray_from[g]:
+                gray += count
+                continue
+            maxc = unit[g]
+            rangec = maxc - unit[b]
+            hue = (2.0 + (maxc - unit[r]) / rangec - 1.0) / 6.0 * 360.0
+        elif g >= b:
+            if r >= gray_from[g]:
+                gray += count
+                continue
+            maxc = unit[g]
+            rangec = maxc - unit[r]
+            hue = (3.0 - (maxc - unit[b]) / rangec) / 6.0 * 360.0
         else:
-            hi, lo = g, r
-        if b > hi:
-            hi = b
-        elif b < lo:
-            lo = b
-        # _hsv inline, with classify_color's gate tested on the integer max
-        # and min before any float division; a call per colour would slow
-        # this loop.
-        maxc = unit[hi]
-        if hi == lo or maxc < v_min or maxc > v_max:
-            gray += count
-            continue
-        rangec = maxc - unit[lo]
-        if rangec / maxc < s_min:
-            gray += count
-            continue
-        if r == hi:
-            h = (maxc - unit[b]) / rangec - (maxc - unit[g]) / rangec
-        elif g == hi:
-            h = 2.0 + (maxc - unit[r]) / rangec - (maxc - unit[b]) / rangec
-        else:
-            h = 4.0 + (maxc - unit[g]) / rangec - (maxc - unit[r]) / rangec
-        hue = (h / 6.0) % 1.0 * 360.0
-        # HuePartition._split inline: k gets 1 - t and j gets t, or 1 on a core.
-        k, j, base, w = zones[bisect_right(starts, hue) - 1]
+            if r >= gray_from[b]:
+                gray += count
+                continue
+            maxc = unit[b]
+            rangec = maxc - unit[r]
+            hue = (4.0 + (maxc - unit[g]) / rangec - 1.0) / 6.0 * 360.0
+        # HuePartition._split inline: k gets 1 - t and j gets t, or 1 on a
+        # core. A count of 1 skips the multiply, which is exact anyway.
+        k_append, j_append, base, w = pieces[bisect_right(starts, hue)]
         if w:
             t = (hue - base) % 360.0 / w
-            terms[j].append(t * count)
-            terms[k].append((1.0 - t) * count)
+            if count == 1:
+                j_append(t)
+                k_append(1.0 - t)
+            else:
+                j_append(t * count)
+                k_append((1.0 - t) * count)
         else:
-            terms[k].append(count)
+            k_append(count)
     return FuzzyColorDescriptor(
         {name: fsum(masses) / n for name, masses in zip(partition.names, terms)}, gray / n
     )

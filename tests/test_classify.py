@@ -3,7 +3,7 @@ import math
 import random
 from collections import Counter
 from enum import IntEnum
-from itertools import product
+from itertools import permutations, product
 from math import fsum
 
 import pytest
@@ -26,7 +26,7 @@ from fuzzyhue import (
 )
 from fuzzyhue import classify
 from fuzzyhue.classify import DEFAULT_GATE, FuzzyColorDescriptor, _colour_counts
-from conftest import fall_tolerance, random_boundary_specs, zone_rule
+from conftest import fall_tolerance, random_boundary_specs, ulp_ring, zone_rule
 
 # 8-bit colors whose exact hexcone hue is an integer degree value.
 GREEN_100 = (85, 255, 0)  # hue 100 (within float rounding), inside green core
@@ -194,6 +194,37 @@ class TestClassifyColor:
             assert bits(classify_color(colibri, rgb, gate)) == bits(expected), rgb
 
 
+# The max and min channel of every 8-bit colour: 32,896 pairs.
+MAX_MIN_PAIRS = [(hi, lo) for hi in range(256) for lo in range(hi + 1)]
+
+
+def hexcone_saturation(hi, lo):
+    return colorsys.rgb_to_hsv(hi / 255.0, lo / 255.0, lo / 255.0)[1]
+
+
+# Every saturation an 8-bit colour has, and every value.
+EXACT_SATURATIONS = sorted({hexcone_saturation(hi, lo) for hi, lo in MAX_MIN_PAIRS})
+EXACT_VALUES = [x / 255.0 for x in range(256)]
+THRESHOLDS = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from(EXACT_SATURATIONS), st.sampled_from(EXACT_VALUES)
+)
+TABLE_GATES = {
+    "default": AchromaticGate(),
+    "s_min=0": AchromaticGate(s_min=0.0),
+    "v_min=0": AchromaticGate(v_min=0.0),
+    "v_max=1": AchromaticGate(0.4, 0.3, 1.0),
+    "open": AchromaticGate(0.0, 0.0, 1.0),
+    "s_min=1": AchromaticGate(1.0, 0.0, 1.0),
+    "v_min=v_max": AchromaticGate(0.2, 0.5, 0.5),
+    "v_min=v_max=a value": AchromaticGate(0.15, 128 / 255.0, 128 / 255.0),
+    "v_min=v_max=1": AchromaticGate(0.15, 1.0, 1.0),
+    "s_min=a saturation": AchromaticGate(hexcone_saturation(200, 37), 0.0, 1.0),
+    "s_min=the least saturation": AchromaticGate(EXACT_SATURATIONS[1], 0.1, 200 / 255.0),
+    "v_min=a value": AchromaticGate(0.15, 37 / 255.0, 1.0),
+    "v_max=a value": AchromaticGate(0.15, 0.1, 254 / 255.0),
+}
+
+
 class TestAchromaticGate:
     @pytest.mark.parametrize(
         "fields",
@@ -217,6 +248,33 @@ class TestAchromaticGate:
     def test_closed_unit_interval_accepted(self):
         gate = AchromaticGate(s_min=0.0, v_min=1.0, v_max=1.0)
         assert (gate.s_min, gate.v_min, gate.v_max) == (0.0, 1.0, 1.0)
+
+    @staticmethod
+    def check_table(ring, gate):
+        """``lo >= gate._gray_from[hi]`` is ``classify_color``'s gray verdict
+        on a colour with max channel ``hi`` and min ``lo``, for every pair."""
+        gray_from = gate._gray_from
+        assert len(gray_from) == 256
+        for hi, lo in MAX_MIN_PAIRS:
+            gray = classify_color(ring, (lo, (lo + hi) // 2, hi), gate).achromatic_mass == 1.0
+            assert (lo >= gray_from[hi]) == gray, (hi, lo, gate)
+
+    @pytest.mark.parametrize("gate", TABLE_GATES.values(), ids=TABLE_GATES.keys())
+    def test_table_is_the_float_rule(self, colibri, gate):
+        self.check_table(colibri, gate)
+
+    @settings(max_examples=25, deadline=None)
+    @given(s_min=THRESHOLDS, v=st.lists(THRESHOLDS, min_size=2, max_size=2).map(sorted))
+    def test_table_is_the_float_rule_on_random_gates(self, colibri, s_min, v):
+        self.check_table(colibri, AchromaticGate(s_min, *v))
+
+    def test_equal_gates_share_a_table_that_is_not_a_field(self):
+        gate = AchromaticGate(0.2, 0.3, 0.9)
+        table = gate._gray_from
+        fresh = AchromaticGate(0.2, 0.3, 0.9)
+        assert fresh._gray_from is table
+        assert gate == fresh and hash(gate) == hash(fresh)
+        assert repr(gate) == "AchromaticGate(s_min=0.2, v_min=0.3, v_max=0.9)"
 
 
 RGB = st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
@@ -684,6 +742,56 @@ class TestPerColourExactness:
         for _ in range(5000):
             rgb = (rng.randrange(256), rng.randrange(256), rng.randrange(256))
             self.check(ring, rgb, OPEN_GATE)
+
+
+def weak_order(rgb):
+    """Which channel ordering ``rgb`` takes, ties included: one of 13."""
+    r, g, b = rgb
+    return (r > g) - (r < g), (g > b) - (g < b), (r > b) - (r < b)
+
+
+def ordering_pixels(rng):
+    """Colours of every channel ordering: each strict ordering and each tie
+    pattern (r == g > b, r == b > g, g == b > r, r > g == b, g > r == b,
+    b > r == g and their kin), on the LEVELS and on seeded channel values."""
+    pixels = list(product(LEVELS, repeat=3))
+    for _ in range(40):
+        x, y, z = sorted(rng.sample(range(256), 3), reverse=True)
+        pixels += permutations((x, y, z))
+        for p, q in ((x, y), (x, z), (y, z)):
+            pixels += [(p, p, q), (p, q, p), (q, p, p), (p, q, q), (q, p, q), (q, q, p)]
+        pixels.append((x, x, x))
+    return pixels
+
+
+ORDERING_RINGS = {
+    "builtin": builtin_colibri(),
+    **{
+        f"random-{count}": from_boundaries(
+            random_boundary_specs(random.Random(count), count), [f"c{i}" for i in range(count)]
+        )
+        for count in (2, 7, 16)
+    },
+    **{f"ulp-{count}": ulp_ring(random.Random(count), count) for count in (2, 7, 16)},
+}
+
+
+class TestKernelOrderings:
+    """The kernel's six branches, one per channel ordering, and their ties
+    give ``colorsys``' hue: bitwise the per-pixel scan."""
+
+    def test_the_image_holds_every_ordering(self):
+        assert len({weak_order(rgb) for rgb in ordering_pixels(random.Random(23))}) == 13
+
+    @pytest.mark.parametrize("ring", ORDERING_RINGS.values(), ids=ORDERING_RINGS.keys())
+    @pytest.mark.parametrize("gate", [DEFAULT_GATE, OPEN_GATE], ids=["default", "open"])
+    def test_bitwise_equal_to_full_scan(self, ring, gate):
+        pixels = ordering_pixels(random.Random(23))
+        # Colours seen once and colours seen more often: a count of 1 skips
+        # the multiply.
+        pixels += pixels[::2] + pixels[::3]
+        grid = grid_of(pixels)
+        assert bits(image_descriptor(ring, grid, gate)) == bits(scan_descriptor(ring, grid, gate))
 
 
 def hue_of(rgb):
