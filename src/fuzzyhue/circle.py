@@ -14,10 +14,10 @@ from ._value import Value, _shown
 PERIOD = 360.0
 
 # Absolute tolerance for angle comparisons, in degrees. Knots and cut ends
-# carry rounding: an arc holds hues this close past its end, a core this
-# little below zero is a pair of touching zones, and a cut longer than its
-# support by more than this has wrapped past a triangle's apex. The one other
-# tolerance, metrics._CHECK_TOL, lets checked sums of rounded values miss.
+# carry rounding: a core this little below zero is a pair of touching zones,
+# and a cut longer than its support by more than this has wrapped past a
+# triangle's apex. The one other tolerance, metrics._CHECK_TOL, lets checked
+# sums of rounded values miss.
 TOL = 1e-9
 
 
@@ -39,6 +39,18 @@ def wrap(angle: float) -> float:
     return 0.0 if h >= PERIOD else h
 
 
+def gap(lo: float, hi: float) -> float:
+    """Degrees from ``lo`` ascending to ``hi``, two hues in [0, 360); at most 360.
+
+    The one rule for a circular difference. ``(hi - lo) % 360`` rounds the
+    difference at the scale of 360 before the modulo, so a gap of 1e-8
+    through 0 would lose about 1e-5 of itself. Here a wrapping gap adds
+    ``360 - lo``, which is exact for ``lo`` of 180 or more, so the result is
+    rounded once, at its own scale.
+    """
+    return hi - lo if hi >= lo else hi + (PERIOD - lo)
+
+
 class Arc(Value):
     """Directed circular interval from ``start`` ascending to ``end``.
 
@@ -58,16 +70,7 @@ class Arc(Value):
     @property
     def measure(self) -> float:
         """Arc length in degrees, in [0, 360]."""
-        return (self.end - self.start) % PERIOD
-
-    def contains(self, hue: float) -> bool:
-        """True when ``hue`` lies on the closed arc (wrap-aware)."""
-        m = self.measure
-        if m == 0.0:
-            return False
-        offset = (wrap(hue) - self.start) % PERIOD
-        # The second clause catches points a rounding error below start.
-        return offset <= m + TOL or offset >= PERIOD - TOL
+        return gap(self.start, self.end)
 
     def intersect(self, other: Arc) -> list[Arc]:
         """Set intersection with another arc, as 0, 1, or 2 arcs.
@@ -82,7 +85,7 @@ class Arc(Value):
             return []
         # Unroll relative to self.start: self covers [0, m1] and the other
         # arc covers [t, t + m2] on one or both of two adjacent branches.
-        t = (other.start - self.start) % PERIOD
+        t = gap(self.start, other.start)
         pieces = []
         for branch in (t - PERIOD, t):
             lo = max(0.0, branch)
@@ -94,8 +97,3 @@ class Arc(Value):
     def midpoint(self) -> float:
         """Hue halfway along the arc from start to end."""
         return wrap(self.start + self.measure / 2.0)
-
-    def rotated(self, delta: float) -> Arc:
-        # An int too large for a float is refused here, not by the sums.
-        wrap(delta)
-        return Arc(self.start + delta, self.end + delta)

@@ -376,11 +376,12 @@ def image_descriptor(
             maxc = unit[b]
             rangec = maxc - unit[r]
             hue = (4.0 + (maxc - unit[g]) / rangec - 1.0) / 6.0 * 360.0
-        # HuePartition._split inline: k gets 1 - t and j gets t, or 1 on a
-        # core. A count of 1 skips the multiply, which is exact anyway.
+        # HuePartition._split inline, circle.gap(base, hue) too: k gets 1 - t
+        # and j gets t, or 1 on a core. A count of 1 skips the multiply,
+        # which is exact anyway.
         k_append, j_append, base, w = pieces[bisect_right(starts, hue)]
         if w:
-            t = (hue - base) % 360.0 / w
+            t = (hue - base if hue >= base else hue + (360.0 - base)) / w
             if count == 1:
                 j_append(t)
                 k_append(1.0 - t)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ._value import Value, _number
-from .circle import PERIOD, TOL, Arc, wrap
+from .circle import PERIOD, TOL, Arc, gap, wrap
 
 
 class CircularTrapezoid(Value):
@@ -17,9 +17,10 @@ class CircularTrapezoid(Value):
     ``a`` and the fall from ``d``, so membership is exactly 0 at ``a`` and
     ``d`` and exactly 1 at ``b`` and ``c``.
 
-    Evaluation takes the hue's offsets after ``a`` and before ``d`` modulo
-    360, and alpha-cuts unroll the knots onto the real line from ``a``
-    (total span under a full turn), so neither branches on the 0/360 seam.
+    Evaluation takes the hue's offsets after ``a`` and before ``d`` by
+    :func:`~fuzzyhue.circle.gap`, and alpha-cuts unroll the knots onto the
+    real line from ``a`` (total span under a full turn), so neither branches
+    on the 0/360 seam.
     """
 
     __match_args__ = ("a", "b", "c", "d")
@@ -28,9 +29,9 @@ class CircularTrapezoid(Value):
         fields = self.__dict__
         for name, knot in zip(self.__match_args__, (a, b, c, d)):
             fields[name] = wrap(knot)
-        rise = (self.b - self.a) % PERIOD
-        plateau = (self.c - self.b) % PERIOD
-        fall = (self.d - self.c) % PERIOD
+        rise = gap(self.a, self.b)
+        plateau = gap(self.b, self.c)
+        fall = gap(self.c, self.d)
         span = rise + plateau + fall
         if rise <= 0.0:
             raise ValueError("rising shoulder must have positive width (a < b)")
@@ -49,16 +50,14 @@ class CircularTrapezoid(Value):
     def membership(self, hue: float) -> float:
         """Membership degree at ``wrap(hue)``, in [0, 1]; NaN or infinite raises ValueError."""
         h = wrap(hue)
-        up = (h - self.a) % PERIOD
+        up = gap(self.a, h)
         if up < self._rise:
             return up / self._rise
-        down = (self.d - h) % PERIOD
+        down = gap(h, self.d)
         if down < self._fall:
             return down / self._fall
         # On the core the offsets add up to the span; off the support, a turn more.
         return 1.0 if up + down < PERIOD else 0.0
-
-    __call__ = membership
 
     def alpha_cut(self, alpha: float) -> Arc:
         """Closed arc where membership is at least ``alpha``.
@@ -75,14 +74,6 @@ class CircularTrapezoid(Value):
         # starts, which would read as nearly the whole circle.
         return Arc(left, left) if cut.measure > self._span + TOL else cut
 
-    def support(self) -> Arc:
-        return Arc(self.a, self.d)
-
     def core(self) -> Arc:
         """The arc [b, c]; a triangle's single-point core is the empty ``Arc(b, b)``."""
         return Arc(self.b, self.c)
-
-    def rotated(self, delta: float) -> CircularTrapezoid:
-        # An int too large for a float is refused here, not by the sums.
-        wrap(delta)
-        return CircularTrapezoid(self.a + delta, self.b + delta, self.c + delta, self.d + delta)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from ._value import Value, _number
-from .circle import PERIOD, Arc, wrap
+from .circle import PERIOD, Arc, gap, wrap
 from .partition import HuePartition
 
 # Absolute tolerance of the invariant checks: how far a sum of rounded values
@@ -118,7 +118,7 @@ def _zone_measure(partition: HuePartition, k: int) -> float:
     starts to where that of category k ends. Bitwise the ``w`` of that zone
     in the partition's zone table."""
     sets = partition.sets
-    return (sets[k].d - sets[(k + 1) % len(sets)].a) % PERIOD
+    return gap(sets[(k + 1) % len(sets)].a, sets[k].d)
 
 
 def metrics_table(partition: HuePartition, alpha: float = 0.5) -> list[CategoryMetrics]:
@@ -179,8 +179,7 @@ class Check(Value):
 
 
 def _circular_distance(a: float, b: float) -> float:
-    d = abs(a - b) % PERIOD
-    return min(d, PERIOD - d)
+    return min(gap(a, b), gap(b, a))
 
 
 def check(partition: HuePartition) -> list[Check]:
@@ -208,7 +207,7 @@ def check(partition: HuePartition) -> list[Check]:
     hues = []
     for lo, hi in zip(knots, knots[1:] + knots[:1]):
         hues.append(lo)
-        hues.append(wrap(lo + ((hi - lo) % PERIOD) / 2.0))
+        hues.append(wrap(lo + gap(lo, hi) / 2.0))
     profile = [(hue, [t.membership(hue) for t in partition.sets]) for hue in hues]
     sum_hue, deviation = max(
         ((hue, abs(sum(values) - 1.0)) for hue, values in profile), key=itemgetter(1)

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from ._value import Value, _number
-from .circle import PERIOD, TOL, wrap
+from .circle import PERIOD, TOL, gap, wrap
 from .fuzzyset import CircularTrapezoid
 
 #: Ring order of the builtin categories.
@@ -131,11 +131,11 @@ class HuePartition(Value):
         sets = []
         for i, name in enumerate(names):
             left, right = boundaries[i - 1], boundaries[i]
-            gap = (right.position - left.position) % PERIOD
-            core = gap - (left.width + right.width) / 2.0
+            spacing = gap(left.position, right.position)
+            core = spacing - (left.width + right.width) / 2.0
             if core < -TOL:
                 raise InconsistentCoreError(name, -core)
-            span = gap + (left.width + right.width) / 2.0
+            span = spacing + (left.width + right.width) / 2.0
             if span >= PERIOD:
                 raise PartitionError(
                     f"support of category {name!r} would cover the whole circle "
@@ -149,7 +149,7 @@ class HuePartition(Value):
             # before b, whatever the sign of the core formula, and the arc
             # then differs from it by nearly a turn: there is no core, and the
             # earlier zone keeps the overlap.
-            if abs((c - b) % PERIOD - core) >= PERIOD / 2.0:
+            if abs(gap(b, c) - core) >= PERIOD / 2.0:
                 c = b
             d = right.position + right.width / 2.0
             try:
@@ -177,8 +177,8 @@ class HuePartition(Value):
         """``(starts, zones)``: the ascending starts of the pieces of the
         circle, each a category's core or a boundary's zone, and the piece
         ``(k, j, lo, w)`` at each. On it category k has ``1 - t`` and its
-        successor j has ``t = ((hue - lo) % 360) / w``, bitwise the rise of
-        j's trapezoid; a core has ``w == 0`` and ``t`` 0. A category without
+        successor j has ``t = gap(lo, hue) / w``, bitwise the rise of j's
+        trapezoid; a core has ``w == 0`` and ``t`` 0. A category without
         a core (``c == b``) has the zone after it start where the zone
         before it ends. A hue below the first start is on the last piece.
         """
@@ -190,7 +190,7 @@ class HuePartition(Value):
             if t.c != t.b:
                 pieces.append((t.b, (k, j, 0.0, 0.0)))
             lo = sets[j].a
-            pieces.append((t.c, (k, j, lo, (t.d - lo) % PERIOD)))
+            pieces.append((t.c, (k, j, lo, gap(lo, t.d))))
         # Every piece is nonempty and the pieces go once round the circle,
         # so the starts are distinct.
         starts, zones = zip(*sorted(pieces))
@@ -208,12 +208,15 @@ class HuePartition(Value):
 
         Lookups evaluate at ``wrap(hue)``: for a hue far outside the circle,
         such as 1e20, ``hue - lo`` rounds ``lo`` away, while the wrapped hue
-        is exact.
+        is exact. ``t`` is ``gap(lo, wrapped) / w``, with the gap inline: the
+        call would slow every lookup.
         """
         wrapped = wrap(hue)
         starts, zones = self._zones
         k, j, lo, w = zones[bisect_right(starts, wrapped) - 1]
-        return k, j, (wrapped - lo) % PERIOD / w if w else 0.0
+        if not w:
+            return k, j, 0.0
+        return k, j, (wrapped - lo if wrapped >= lo else wrapped + (PERIOD - lo)) / w
 
     def memberships(self, hue: float) -> dict[str, float]:
         """All category memberships at ``hue``, in ring order.

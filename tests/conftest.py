@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fuzzyhue import BoundarySpec, builtin_colibri, from_boundaries, wrap
+from fuzzyhue.circle import gap
 
 
 @pytest.fixture(scope="session")
@@ -49,24 +50,24 @@ def ulp_ring(rng, count):
 
 
 def zone_rule(partition, hue):
-    """``(values, rising)``: the memberships at ``hue % 360`` by the zone
+    """``(values, rising)``: the memberships at ``wrap(hue)`` by the zone
     rule, from the boundary list alone, and the index of the category whose
     value is a zone's ``t`` (None on a core).
 
     Inside boundary k's zone, from ``lo = position - width/2`` over ``w``
-    degrees, category k+1 has ``t = ((hue - lo) % 360) / w`` and category k
-    has ``1 - t``. Outside every zone, the category whose core holds the
+    degrees, category k+1 has ``t = gap(lo, hue) / w`` and category k has
+    ``1 - t``. Outside every zone, the category whose core holds the
     hue has 1. For rings whose zones do not overlap.
     """
     n = len(partition.boundaries)
-    hue %= 360.0
+    hue = wrap(hue)
     zones = []
     for b in partition.boundaries:
         lo, hi = wrap(b.position - b.width / 2.0), wrap(b.position + b.width / 2.0)
-        zones.append((lo, hi, (hi - lo) % 360.0))
+        zones.append((lo, hi, gap(lo, hi)))
     values = [0.0] * n
     for k, (lo, _, w) in enumerate(zones):
-        rel = (hue - lo) % 360.0
+        rel = gap(lo, hue)
         # At its end, or a hue that rounds onto it, t = 1 gives k+1 its core
         # value.
         if rel <= w:
@@ -76,7 +77,7 @@ def zone_rule(partition, hue):
     # zone k; a hue just short of that start can round onto it.
     for k, (lo, _, _) in enumerate(zones):
         end = zones[k - 1][1]
-        if (hue - end) % 360.0 <= (lo - end) % 360.0:
+        if gap(end, hue) <= gap(end, lo):
             values[k] = 1.0
             return values, None
     raise AssertionError(f"hue {hue!r} is in no zone and no core")

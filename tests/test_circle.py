@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzyhue import Arc, builtin_colibri, wrap
+from fuzzyhue.circle import gap
 
 finite_angles = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -58,7 +60,8 @@ class TestArcMeasure:
         # Endpoints stay resolvable; start == end is empty by convention, so
         # arcs within an ulp of empty/full are representational edge cases.
         arc = Arc(start, wrap(start + measure))
-        assert arc.rotated(delta).measure == pytest.approx(arc.measure, abs=1e-9)
+        rotated = Arc(arc.start + delta, arc.end + delta)
+        assert rotated.measure == pytest.approx(arc.measure, abs=1e-9)
 
     @given(
         st.floats(min_value=0, max_value=360, exclude_max=True),
@@ -73,20 +76,52 @@ class TestArcMeasure:
         assert first + second == pytest.approx(arc.measure, abs=1e-9)
 
 
-class TestArcContains:
+def on_arc(arc, hue):
+    """True when ``hue`` is on the closed arc: no further along it than its end."""
+    return gap(arc.start, hue) <= arc.measure
+
+
+class TestGap:
     def test_examples(self):
-        assert Arc(340.5, 12.5).contains(0.0)
-        assert not Arc(340.5, 12.5).contains(100.0)
-        assert Arc(40.0, 55.5).contains(40.0)
+        assert gap(40.0, 55.5) == 15.5
+        assert gap(340.5, 12.5) == 32.0
+        assert gap(12.5, 340.5) == 328.0
+        assert gap(100.0, 100.0) == 0.0
+        # Across the seam, unlike (hi - lo) % 360, which rounds at the scale
+        # of 360 before the modulo.
+        lo = 360.0 - 1e-8
+        assert gap(lo, 1e-8) == float(Fraction(1e-8) + 360 - Fraction(lo)) != (1e-8 - lo) % 360.0
 
-    def test_closed_endpoints(self):
+    def test_on_arc_examples(self):
+        assert on_arc(Arc(340.5, 12.5), 0.0)
+        assert not on_arc(Arc(340.5, 12.5), 100.0)
+        assert on_arc(Arc(40.0, 55.5), 40.0)
+
+    def test_closed_arc_endpoints(self):
         arc = Arc(10.0, 20.0)
-        assert arc.contains(10.0) and arc.contains(20.0)
-        assert not arc.contains(9.999)
-        assert not arc.contains(20.001)
+        assert on_arc(arc, 10.0) and on_arc(arc, 20.0)
+        assert not on_arc(arc, 9.999)
+        assert not on_arc(arc, 20.001)
 
-    def test_empty_arc_contains_nothing(self):
-        assert not Arc(100, 100).contains(100.0)
+    @given(
+        st.floats(min_value=0, max_value=360, exclude_max=True),
+        st.floats(min_value=0, max_value=360, exclude_max=True),
+    )
+    def test_range_and_congruence(self, lo, hi):
+        d = gap(lo, hi)
+        assert 0.0 <= d <= 360.0
+        assert math.remainder(lo + d - hi, 360.0) == pytest.approx(0.0, abs=1e-9)
+        assert (d == 0.0) == (lo == hi)
+
+    @given(
+        st.floats(min_value=180, max_value=360, exclude_max=True),
+        st.floats(min_value=0, max_value=360, exclude_max=True),
+    )
+    def test_rounded_once_for_lo_from_180(self, lo, hi):
+        # 360 - lo is exact (Sterbenz), so the gap is the exact difference
+        # rounded once.
+        exact = Fraction(hi) - Fraction(lo) + (0 if hi >= lo else 360)
+        assert gap(lo, hi) == float(exact)
 
 
 class TestArcIntersect:
@@ -99,8 +134,8 @@ class TestArcIntersect:
     def test_red_magenta_supports_from_builtin(self):
         # Reconstructed supports of the two wrap-adjacent builtin categories.
         p = builtin_colibri()
-        red = p.fuzzy_set("red").support()
-        magenta = p.fuzzy_set("magenta").support()
+        red = Arc(p.fuzzy_set("red").a, p.fuzzy_set("red").d)
+        magenta = Arc(p.fuzzy_set("magenta").a, p.fuzzy_set("magenta").d)
         assert red == Arc(330.0, 20.0)
 
         # Oracle: dense grid scan for hues where both memberships are
@@ -113,7 +148,7 @@ class TestArcIntersect:
         pieces = red.intersect(magenta)
         covered = np.zeros(len(grid), dtype=bool)
         for piece in pieces:
-            covered |= np.array([piece.contains(h) for h in grid])
+            covered |= np.array([on_arc(piece, h) for h in grid])
         # Supports are open at their endpoints while arcs are closed, so the
         # covered set may exceed the positive set only at the measure-zero
         # piece endpoints.

@@ -317,6 +317,26 @@ class TestValidateCommand:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
 
+    @pytest.mark.parametrize("position", [0.0, 1e-300])
+    def test_seam_ring_passes(self, capsys, tmp_path, position):
+        # The zone at 0 straddles the seam and is 1e-8 wide; sum-to-one
+        # once FAILed here by 3.97e-07, with exit 2.
+        doc = {
+            "period": 360,
+            "categories": [{"name": "a"}, {"name": "b"}],
+            "boundaries": [
+                {"position": position, "width": 1e-8},
+                {"position": 1e-7, "width": 1e-8},
+            ],
+        }
+        path = tmp_path / "seam.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", "--model", str(path))
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 4 and all(line.startswith("PASS") for line in lines), out
+        assert lines[0] == "PASS memberships-sum-to-one (max deviation 0)"
+
     def test_failure_names_the_hue(self, capsys, monkeypatch, tmp_path):
         # No config reconstructs to a broken partition, so hand validate one.
         broken, (low, high) = narrow_defect("hole")

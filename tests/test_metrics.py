@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fuzzyhue import (
     RING,
     AdjacencyError,
+    Arc,
     BoundarySpec,
     CircularTrapezoid,
     asymmetry_report,
@@ -20,6 +21,7 @@ from fuzzyhue import (
     wideness,
     wideness_numeric,
 )
+from fuzzyhue.circle import gap
 from fuzzyhue.metrics import _zone_measure
 from conftest import random_boundary_specs, ulp_ring
 
@@ -85,7 +87,8 @@ class TestWidenessNumeric:
 
     def test_alpha_near_zero_tends_to_support(self, colibri):
         for name in ("red", "green", "yellow"):
-            support = colibri.fuzzy_set(name).support().measure
+            t = colibri.fuzzy_set(name)
+            support = Arc(t.a, t.d).measure
             assert wideness_numeric(colibri, name, 1e-6, 0.01) == pytest.approx(
                 support, abs=0.02
             )
@@ -126,7 +129,8 @@ class TestBoundaryWidth:
                  BoundarySpec(109.9999999995, 10.0)]
         p = from_boundaries(specs, ("a", "b", "c"))
         rows = metrics_table(p)
-        assert len(p.fuzzy_set("a").support().intersect(p.fuzzy_set("b").support())) == 2
+        a, b = p.sets[0], p.sets[1]
+        assert len(Arc(a.a, a.d).intersect(Arc(b.a, b.d))) == 2
         for k, (name, after) in enumerate(zip(p.names, p.names[1:] + p.names[:1])):
             assert boundary_width(p, name, after) == rows[k].right_boundary_width
         assert boundary_width(p, "a", "b") == 4.0
@@ -203,7 +207,7 @@ class TestMetricsTable:
         rows = metrics_table(partition)
         for k, boundary in enumerate(partition.boundaries):
             this, after = partition.sets[k], partition.sets[(k + 1) % count]
-            expected = (this.d - after.a) % 360.0
+            expected = gap(after.a, this.d)
             assert rows[k].right_boundary_width == expected
             assert rows[(k + 1) % count].left_boundary_width == expected
             assert expected == pytest.approx(boundary.width, abs=1e-9)
@@ -213,7 +217,8 @@ class TestMetricsTable:
     def test_ulp_wide_zones_are_exact_at_every_knot(self, seed, count):
         partition = ulp_ring(random.Random(seed), count)
         for t in partition.sets:
-            assert (t(t.a), t(t.b), t(t.c), t(t.d)) == (0.0, 1.0, 1.0, 0.0), t
+            knots = (t.a, t.b, t.c, t.d)
+            assert tuple(t.membership(knot) for knot in knots) == (0.0, 1.0, 1.0, 0.0), t
         assert all(r.ok for r in check(partition))
         _, zones = partition._zones
         widths = {k: w for k, _, _, w in zones if w}
@@ -357,13 +362,16 @@ class TestCheck:
     def test_near_full_core_keeps_its_core(self):
         # a's core is 359.9999999 degrees. A rounding snap once made a a
         # triangle: a's wideness read 1e-8 and the tiling and round-trip
-        # checks failed. (Sum-to-one is left out: the trapezoids of the
-        # zone that straddles 0 still round there by about 4e-7.)
+        # checks failed. The trapezoids of the zone that straddles 0 once
+        # rounded there by about 4e-7, which failed sum-to-one.
         p = from_boundaries([BoundarySpec(0.0, 1e-8), BoundarySpec(1e-7, 1e-8)], ("a", "b"))
         a = p.fuzzy_set("a")
-        assert a(180.0) == 1.0 and (a(a.a), a(a.b), a(a.c), a(a.d)) == (0.0, 1.0, 1.0, 0.0)
+        knots = (a.a, a.b, a.c, a.d)
+        assert a.membership(180.0) == 1.0
+        assert tuple(a.membership(knot) for knot in knots) == (0.0, 1.0, 1.0, 0.0)
         results = check(p)
-        assert all(r.ok for r in results[1:]), results
+        assert all(r.ok for r in results), results
+        assert results[0].worst == 0.0
         assert wideness(p, "a") == pytest.approx(359.9999999, abs=1e-9)
 
     @settings(max_examples=200, deadline=None)

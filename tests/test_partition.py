@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from fuzzyhue import (
     RING,
+    Arc,
     BoundaryOrderError,
     BoundarySpec,
+    CircularTrapezoid,
     HuePartition,
     InconsistentCoreError,
     PartitionError,
@@ -167,9 +169,8 @@ class TestPartitionInvariants:
     def test_adjacent_supports_overlap_in_published_width(self, colibri):
         for k, name in enumerate(RING):
             succ = RING[(k + 1) % len(RING)]
-            pieces = colibri.fuzzy_set(name).support().intersect(
-                colibri.fuzzy_set(succ).support()
-            )
+            this, after = colibri.fuzzy_set(name), colibri.fuzzy_set(succ)
+            pieces = Arc(this.a, this.d).intersect(Arc(after.a, after.d))
             assert len(pieces) == 1
             assert pieces[0].measure == pytest.approx(
                 colibri.boundaries[k].width, abs=1e-9
@@ -235,7 +236,7 @@ def probe_hues(partition, rng):
 
 
 def assert_matches_scan(partition, hues, fall_tol):
-    """Lookups follow the zone rule at ``hue % 360`` and stay close to the
+    """Lookups follow the zone rule at ``wrap(hue)`` and stay close to the
     full trapezoid scan.
 
     The values are bitwise :func:`zone_rule`'s; they sum to exactly 1 with at
@@ -415,6 +416,36 @@ class TestZoneRule:
         assert_sums_to_one(p, 12.0)
 
 
+def seam_ring(rng, count):
+    """A random ring (positive cores) whose boundaries all lie within 1e-7 to
+    1e-2 degrees of 0, either side: one category holds nearly the whole
+    circle, and narrow zones straddle the seam."""
+    scale = 10.0 ** rng.uniform(-7.0, -2.0)
+    while True:
+        positions = sorted(rng.uniform(-scale, scale) for _ in range(count))
+        gaps = [hi - lo for lo, hi in zip(positions, positions[1:])]
+        gaps.append(360.0 - (positions[-1] - positions[0]))
+        if min(gaps) > 1e-3 * scale:
+            break
+    widths = [rng.uniform(0.05, 0.9) * min(gaps[k - 1], gaps[k]) for k in range(count)]
+    specs = [BoundarySpec(p, w) for p, w in zip(positions, widths)]
+    return from_boundaries(specs, [f"c{i}" for i in range(count)])
+
+
+class TestSeamRings:
+    # Every circular difference goes through circle.gap. As (hi - lo) % 360,
+    # it rounded at the scale of 360, so the trapezoids of these rings
+    # missed sum-to-one by up to about 4e-7.
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 16))
+    def test_check_passes_and_lookups_match_the_trapezoids(self, seed, count):
+        rng = random.Random(seed)
+        p = seam_ring(rng, count)
+        results = check(p)
+        assert all(r.ok for r in results), results
+        assert_matches_scan(p, probe_hues(p, rng) + zone_knots(p), 2 * math.ulp(1.0))
+
+
 def _circ_err(a, b):
     d = abs(a - b) % 360.0
     return min(d, 360.0 - d)
@@ -470,7 +501,7 @@ class TestHuePartition:
         rotated = p.rotated(delta)
         assert all(r.ok for r in check(rotated))
         for t, r in zip(p.sets, rotated.sets):
-            moved = t.rotated(delta)
+            moved = CircularTrapezoid(t.a + delta, t.b + delta, t.c + delta, t.d + delta)
             for knot, expected in zip((r.a, r.b, r.c, r.d), (moved.a, moved.b, moved.c, moved.d)):
                 assert _circ_err(knot, expected) < 1e-9
 
