@@ -240,10 +240,12 @@ def _colour_counts(samples: bytes) -> Counter:
     fills, posterized ramps, repeated or shifted rows) this counts a
     sixteenth as many items. Once more than one tile in 3 of a block was not
     seen before, as in photos and noise, every later block is counted pixel
-    by pixel: where each distinct tile recurs only three times, splitting
-    the tiles costs about what counting their pixels does. Counts add up, so
-    the blocks already counted by tiles keep their counts. The tail of fewer
-    than _TILE pixels is counted pixel by pixel too.
+    by pixel: where each distinct tile recurs only three times, counting the
+    tiles and then their pixels costs about what counting the pixels does.
+    Counts add up, so the blocks already counted by tiles keep their counts.
+    The tail of fewer than _TILE pixels is counted pixel by pixel too.
+    Tiles seen equally often are counted together by their pixels, and each
+    pixel's count is multiplied by how often its tile was seen.
     """
     # Loaded on first use: only images need it; re keeps the compiled pattern.
     import re
@@ -264,25 +266,18 @@ def _colour_counts(samples: bytes) -> Counter:
         if 3 * (len(tiles) - known) > len(found):
             break
     colours = Counter(_words(samples[start:]).cast("I"))
-    # A tile seen once is counted as its pixels, all such tiles in one go.
-    # Tiles seen m times are grouped by m, and each group is counted once by
-    # neighbouring pixel pairs, two words read as one 8-byte word; each
-    # distinct pair is then split into its two colours, weighted by m.
-    once = []
-    repeated = {}
+    # The group of tiles seen once is always there and first, and it is added
+    # by Counter.update's C loop, with no multiply.
+    groups = {1: []}
     for tile, m in tiles.items():
+        groups.setdefault(m, []).append(tile)
+    for m, group in groups.items():
+        pixels = _words(b"".join(group)).cast("I")
         if m == 1:
-            once.append(tile)
+            colours.update(pixels)
         else:
-            repeated.setdefault(m, []).append(tile)
-    colours.update(_words(b"".join(once)).cast("I"))
-    get = colours.get
-    for m, group in repeated.items():
-        for key, count in Counter(_words(b"".join(group)).cast("Q")).items():
-            count *= m
-            first, second = key & 0xFFFFFFFF, key >> 32
-            colours[first] = get(first, 0) + count
-            colours[second] = get(second, 0) + count
+            for key, count in Counter(pixels).items():
+                colours[key] += count * m
     return colours
 
 

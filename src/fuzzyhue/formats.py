@@ -101,7 +101,8 @@ def load_partition(text: str) -> HuePartition:
     around the circle from any start, with boundary k separating category k
     from k+1 (the last wraps back to the first). Schema violations and
     positions out of order raise ConfigError naming the offending field, and
-    so do the tokens ``NaN``, ``Infinity`` and ``-Infinity``; reconstruction
+    so do the tokens ``NaN``, ``Infinity`` and ``-Infinity`` and JSON nested
+    deeper than the parser's recursion limit; reconstruction
     errors (overlapping transition zones) raise PartitionError naming the
     category.
     """
@@ -115,6 +116,8 @@ def load_partition(text: str) -> HuePartition:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError("invalid JSON: arrays or objects nested too deeply") from None
     _require(isinstance(doc, dict), "config root must be a JSON object")
     _require(doc.get("period") == 360, 'config field "period" must be the number 360')
 

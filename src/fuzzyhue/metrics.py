@@ -22,7 +22,7 @@ from .circle import PERIOD, Arc, gap, wrap
 from .partition import HuePartition
 
 # Absolute tolerance of the invariant checks: how far a sum of rounded values
-# may miss, and how close to 0 a membership counts as 0.
+# may miss. The nonzero count needs none: it counts memberships above 0.
 _CHECK_TOL = 1e-9
 
 
@@ -186,9 +186,7 @@ def check(partition: HuePartition) -> list[Check]:
     """Exact checks of the partition invariants, in this order:
 
     - ``memberships-sum-to-one``: worst ``|sum - 1|`` of all memberships;
-    - ``at-most-two-nonzero``: most memberships nonzero at one hue, where
-      values within the tolerance of zero count as zero (where zones touch,
-      rounding can leave a third membership of about 1e-16);
+    - ``at-most-two-nonzero``: most memberships above 0 at one hue;
     - ``half-cuts-tile-circle``: sum of the alpha = 0.5 widenesses, which
       must be 360 (no hue);
     - ``boundaries-round-trip``: worst disagreement of :func:`metrics_table`
@@ -213,7 +211,7 @@ def check(partition: HuePartition) -> list[Check]:
         ((hue, abs(sum(values) - 1.0)) for hue, values in profile), key=itemgetter(1)
     )
     count_hue, nonzero = max(
-        ((hue, sum(1 for v in values if v > _CHECK_TOL)) for hue, values in profile),
+        ((hue, sum(1 for v in values if v > 0.0)) for hue, values in profile),
         key=itemgetter(1),
     )
 

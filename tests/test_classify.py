@@ -284,8 +284,8 @@ RGB = st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
 def repeated_row_grids(draw):
     """Grids whose rows are drawn, with repetition, from a tiny row palette.
 
-    The rows' pixels come from a palette of at most four colours, so pixel
-    pairs repeat and one colour often sits in pairs of different counts.
+    The rows' pixels come from a palette of at most four colours, so tiles
+    repeat and one colour often sits in tiles seen different numbers of times.
     """
     width = draw(st.integers(1, 24))
     colours = draw(st.lists(RGB, min_size=1, max_size=4))
@@ -545,8 +545,8 @@ class TestImageDescriptor:
     @given(grid=repeated_row_grids(), gate=st.sampled_from(ROW_GATES))
     # Width 1 with non-adjacent repeats; height 1 with an odd pixel; rows
     # repeating 3, 2 and 1 times that share YELLOW_46 and GRAY; and 300 rows
-    # of three, so GREEN_100 is the first half of one repeated pair and the
-    # second half of another.
+    # of three, so tiles repeat in three phases, each holding GREEN_100 at
+    # several places.
     @example(
         grid=rows_grid([GREEN_100], [GRAY], [GREEN_100], [GREEN_100], [GRAY]), gate=DEFAULT_GATE
     )
@@ -561,7 +561,7 @@ class TestImageDescriptor:
     @example(grid=rows_grid(*[[GREEN_100, YELLOW_46, GREEN_100]] * 300), gate=DEFAULT_GATE)
     def test_repeated_rows_bitwise_equal_to_per_pixel_counts(self, colibri, grid, gate):
         # reference_descriptor counts every pixel in one Counter, with no
-        # pixel pairs, and reduces classify_color's masses times each count.
+        # tiles, and reduces classify_color's masses times each count.
         assert bits(image_descriptor(colibri, grid, gate)) == bits(
             reference_descriptor(colibri, grid, gate)
         )

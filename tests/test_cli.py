@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyhue import (
@@ -38,6 +38,37 @@ def run(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Every subcommand that takes --model, with the other arguments it needs:
+# {image} is an image file and {out} a figure path.
+MODEL_COMMANDS = [
+    ("metrics",),
+    ("classify", "--hue", "50"),
+    ("label", "{image}"),
+    ("plot", "memberships", "--out", "{out}"),
+    ("validate",),
+    ("report",),
+]
+GREEN_P6 = make_p6(2, 2, [(85, 255, 0)] * 4)
+DEEP_JSON = b"[" * 3000 + b"\n"
+
+
+def run_on_files(directory, argv, model=None, image=GREEN_P6):
+    """cli_main on argv, with {image} and {out} in directory, and with
+    ``--model`` given the bytes ``model`` in a file unless None:
+    (exit code, stdout, stderr)."""
+    image_path = directory / "image.ppm"
+    image_path.write_bytes(image)
+    argv = [arg.format(image=image_path, out=directory / "fig.svg") for arg in argv]
+    if model is not None:
+        model_path = directory / "model.json"
+        model_path.write_bytes(model)
+        argv += ["--model", str(model_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestMetricsCommand:
@@ -505,10 +536,42 @@ class TestExitCodes:
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=lambda argv: argv[0])
+    def test_deeply_nested_model_is_data_error(self, tmp_path, argv):
+        # json.loads raises RecursionError on 3,000 nested arrays.
+        code, out, err = run_on_files(tmp_path, argv, model=DEEP_JSON)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid JSON: arrays or objects nested too deeply\n"
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "metrics" in out
+
+
+# (what the random bytes are, argv): each subcommand's --model file, and
+# label's image.
+FILE_INPUTS = [("model", argv) for argv in MODEL_COMMANDS] + [("image", ("label", "{image}"))]
+
+
+class TestNoTraceback:
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.binary(max_size=400), where=st.sampled_from(FILE_INPUTS))
+    @example(data=DEEP_JSON, where=("model", ("validate",)))
+    @example(data=make_p6(4, 4, [(10, 200, 30)] * 16)[:-5], where=("image", ("label", "{image}")))
+    def test_random_file_bytes_exit_with_a_code(self, tmp_path, data, where):
+        kind, argv = where
+        if kind == "model":
+            code, out, err = run_on_files(tmp_path, argv, model=data)
+        else:
+            code, out, err = run_on_files(tmp_path, argv, image=data)
+        assert code in (0, 1, 2)
+        if code == 2 and not (argv[0] == "validate" and "FAIL" in out):
+            # Not a failed check of a model that was read: one error line.
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 class TestDeterminism:

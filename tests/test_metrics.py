@@ -352,8 +352,9 @@ class TestCheck:
         assert trip.hue == moved.position
 
     def test_touching_zones_pass(self):
-        # 24.93 - 4.4 rounds to just under 20.53, so the zones overlap by an
-        # ulp and rounding leaves a third membership near 1e-16 at 14.665.
+        # b's core is the single hue 14.665, and a's fall ends an ulp past it,
+        # so a keeps a membership near 1e-16 next to b's 1 there: two
+        # memberships above 0, counted strictly, and no third.
         specs = [BoundarySpec(4.4, 20.53), BoundarySpec(24.93, 20.53), BoundarySpec(200.0, 10.0)]
         results = check(from_boundaries(specs, ("a", "b", "c")))
         assert all(r.ok for r in results), results

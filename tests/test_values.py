@@ -25,6 +25,8 @@ from fuzzyhue import (
     HuePartition,
     PixelGrid,
     PlotConfig,
+    builtin_colibri,
+    classify_color,
 )
 
 TWO_SPECS = (BoundarySpec(10.0, 5.0), BoundarySpec(200.0, 8.0))
@@ -148,6 +150,13 @@ class TestValueTypes:
         assert twin == sample and not twin != sample
         if is_hashable(sample):
             assert hash(twin) == hash(sample) == hash(fields_of(sample))
+
+
+def test_descriptors_are_not_hashable():
+    # category_mass is a dict, so a descriptor that classify_color returns
+    # does not hash either.
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(classify_color(builtin_colibri(), (10, 200, 30)))
 
 
 def test_derived_state_is_not_compared_or_shown():
