@@ -262,8 +262,12 @@ def _colour_counts(samples: bytes) -> Counter:
         found = tiles_of(view[start : min(start + step, end)])
         known = len(tiles)
         tiles.update(found)
-        start += len(found) * tile_bytes
-        if 3 * (len(tiles) - known) > len(found):
+        size = len(found)
+        # Only one block's tile objects are alive at a time: this block's go
+        # before the next findall makes its own.
+        del found
+        start += size * tile_bytes
+        if 3 * (len(tiles) - known) > size:
             break
     colours = Counter(_words(samples[start:]).cast("I"))
     # The group of tiles seen once is always there and first, and it is added

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import io
+import os
 import re
 import struct
 from pathlib import Path
+from stat import S_ISREG
 from typing import NoReturn, Sequence
 
 from ._value import Value, _number
@@ -203,6 +205,9 @@ def export_metrics_csv(rows: Sequence[CategoryMetrics]) -> str:
 _PPM_HEADER = re.compile(rb"(P[36])" + rb"(?:\s|#[^\n]*(?![^\n]))*(\d+)(?!\d)" * 3)
 _PPM_COMMENT = re.compile(rb"#[^\n]*")
 _LEADING_DIGITS = re.compile(rb"\d*")
+# Bytes read before the header is matched: any usual header fits, and a
+# header that does not is read with the whole file.
+_READ_AHEAD = 4096
 
 
 def _ppm_int(digits: bytes, what: str) -> int:
@@ -215,51 +220,80 @@ def _ppm_int(digits: bytes, what: str) -> int:
 def read_image(path: str | Path) -> PixelGrid:
     """Read a PPM image (binary P6; ASCII P3 also accepted).
 
+    A header may be any length. When it and its separator byte lie within
+    the first _READ_AHEAD bytes of a regular P6 file, the raster is read
+    once, straight into the bytes that the grid keeps, and never past the
+    size the file holds.
+    Anything else (a longer header, P3, a pipe or a device) is read whole.
+    Bytes after the raster are ignored.
+
     Raises FileNotFoundError for missing files, ImageFormatError for
     malformed headers or truncated payloads, and
     UnsupportedImageFormatError for anything that is not a 8-bit PPM.
     """
-    data = Path(path).read_bytes()
-    header = _PPM_HEADER.match(data)
-    if header is None:
-        if data[:2] in (b"P3", b"P6"):
-            raise ImageFormatError("malformed PPM header: expected width, height and maxval")
-        raise UnsupportedImageFormatError(
-            f"unsupported image format (magic {data[:2]!r}); expected PPM P6 or P3"
+    with Path(path).open("rb") as file:
+        data = file.read(_READ_AHEAD)
+        header = _PPM_HEADER.match(data)
+        st = os.fstat(file.fileno())
+        # A header that ends before the read-ahead does was matched on real
+        # bytes: no digit run or comment was cut short, and the separator
+        # byte is here. A pipe's or a device's st_size means nothing.
+        direct = (
+            header is not None
+            and header.end() < len(data)
+            and header[1] == b"P6"
+            and S_ISREG(st.st_mode)
         )
-    magic, *fields = header.groups()
-    width, height, maxval = (_ppm_int(field, "PPM header field") for field in fields)
-    if width <= 0 or height <= 0:
-        raise ImageFormatError(f"invalid PPM dimensions {width}x{height}")
-    if maxval != 255:
-        raise UnsupportedImageFormatError(f"only maxval 255 is supported, got {maxval}")
-    count = 3 * width * height
-    pos = header.end()
-    if magic == b"P6":
-        # Exactly one whitespace byte separates the header from the raster.
-        if pos >= len(data) or data[pos] not in b" \t\r\n":
-            raise ImageFormatError("malformed PPM header: missing raster separator")
-        samples = data[pos + 1 : pos + 1 + count]
-        if len(samples) < count:
-            raise ImageFormatError(
-                f"truncated P6 pixel data: expected {count} bytes, got {len(samples)}"
+        if not direct:
+            data += file.read()
+            header = _PPM_HEADER.match(data)
+        if header is None:
+            if data[:2] in (b"P3", b"P6"):
+                raise ImageFormatError("malformed PPM header: expected width, height and maxval")
+            raise UnsupportedImageFormatError(
+                f"unsupported image format (magic {data[:2]!r}); expected PPM P6 or P3"
             )
-    else:
-        # No file holds more samples than bytes; this also bounds maxsplit.
-        tokens = _PPM_COMMENT.sub(b"", data[pos:]).split(None, min(count, len(data)))[:count]
-        if tokens:
-            # A sample ends at its last digit; nothing after the last one is read.
-            tokens[-1] = _LEADING_DIGITS.match(tokens[-1]).group()
-        samples = []
-        for index, token in enumerate(tokens):
-            if not token.isdigit():
-                break
-            samples.append(_ppm_int(token, "P3 sample"))
-            if samples[-1] > 255:
-                raise ImageFormatError(f"P3 sample {index} out of range: {samples[-1]}")
-        if len(samples) < count:
-            raise ImageFormatError(
-                f"truncated P3 pixel data: expected {count} samples, got {len(samples)}"
-            )
-        samples = bytes(samples)
+        magic, *fields = header.groups()
+        width, height, maxval = (_ppm_int(field, "PPM header field") for field in fields)
+        if width <= 0 or height <= 0:
+            raise ImageFormatError(f"invalid PPM dimensions {width}x{height}")
+        if maxval != 255:
+            raise UnsupportedImageFormatError(f"only maxval 255 is supported, got {maxval}")
+        count = 3 * width * height
+        pos = header.end()
+        if magic == b"P6":
+            # Exactly one whitespace byte separates the header from the raster.
+            if pos >= len(data) or data[pos] not in b" \t\r\n":
+                raise ImageFormatError("malformed PPM header: missing raster separator")
+            if direct:
+                # The bytes after the separator; a declared size past them
+                # is refused before anything that large is asked for.
+                got = st.st_size - (pos + 1)
+                if count <= got:
+                    file.seek(pos + 1)
+                    samples = file.read(count)
+                    got = len(samples)
+            else:
+                samples = data[pos + 1 : pos + 1 + count]
+                got = len(samples)
+            if got < count:
+                raise ImageFormatError(f"truncated P6 pixel data: expected {count} bytes, got {got}")
+        else:
+            # No file holds more samples than bytes; this also bounds maxsplit.
+            tokens = _PPM_COMMENT.sub(b"", data[pos:]).split(None, min(count, len(data)))[:count]
+            if tokens:
+                # A sample ends at its last digit; nothing after the last one is read.
+                tokens[-1] = _LEADING_DIGITS.match(tokens[-1]).group()
+            samples = []
+            for index, token in enumerate(tokens):
+                if not token.isdigit():
+                    break
+                samples.append(_ppm_int(token, "P3 sample"))
+                if samples[-1] > 255:
+                    raise ImageFormatError(f"P3 sample {index} out of range: {samples[-1]}")
+            if len(samples) < count:
+                raise ImageFormatError(
+                    f"truncated P3 pixel data: expected {count} samples, got {len(samples)}"
+                )
+            samples = bytes(samples)
     return PixelGrid(width, height, samples)

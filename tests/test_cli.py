@@ -561,6 +561,11 @@ class TestNoTraceback:
     @given(data=st.binary(max_size=400), where=st.sampled_from(FILE_INPUTS))
     @example(data=DEEP_JSON, where=("model", ("validate",)))
     @example(data=make_p6(4, 4, [(10, 200, 30)] * 16)[:-5], where=("image", ("label", "{image}")))
+    @example(data=b"P6 100000 100000 255\nabc", where=("image", ("label", "{image}")))
+    @example(
+        data=b"P6\n#" + b"c" * 5000 + b"\n4 4\n255\n" + bytes(48),
+        where=("image", ("label", "{image}")),
+    )
     def test_random_file_bytes_exit_with_a_code(self, tmp_path, data, where):
         kind, argv = where
         if kind == "model":

@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from fuzzyhue import (
     metrics_table,
     read_image,
 )
+from fuzzyhue.formats import _READ_AHEAD
 from conftest import make_p6, random_boundary_specs
 
 # Whitespace bytes and comments netpbm allows between header fields (and,
@@ -346,6 +349,82 @@ class TestReadImage:
         assert read_image(path).pixels == ((1, 2, 3),)
 
 
+PIXELS = [(255, 0, 0), (0, 9, 200), (7, 7, 7), (1, 2, 3)]
+
+
+def padded_p6(header_bytes):
+    """A 2x2 P6 whose header, separator included, is ``header_bytes`` long:
+    a comment after the magic takes up the slack."""
+    tail = b"\n2 2 255\n"
+    comment = b"\n#" + b"c" * (header_bytes - len(b"P6") - len(tail) - 2)
+    data = b"P6" + comment + tail
+    assert len(data) == header_bytes
+    return data + bytes(v for px in PIXELS for v in px)
+
+
+class TestRasterRead:
+    """A regular P6 file whose header ends inside the read-ahead has its
+    raster read straight into the grid; every other file is read whole.
+    Both must give the same pixels and the same errors."""
+
+    def test_comment_longer_than_the_read_ahead(self, tmp_path):
+        path = tmp_path / "long-comment.ppm"
+        path.write_bytes(padded_p6(3 * _READ_AHEAD))
+        assert read_image(path).pixels == tuple(PIXELS)
+
+    # A header ``past`` bytes longer than the read-ahead, which then ends
+    # inside "255", right after it, on the separator or on the raster.
+    @pytest.mark.parametrize(
+        "past, ending",
+        [(3, b" 2"), (2, b"25"), (1, b"255"), (0, b"255\n"), (-1, b"255\n\xff")],
+    )
+    def test_read_ahead_ending_on_each_last_header_byte(self, tmp_path, past, ending):
+        path = tmp_path / "edge.ppm"
+        data = padded_p6(_READ_AHEAD + past)
+        path.write_bytes(data)
+        assert data[:_READ_AHEAD].endswith(ending)
+        assert read_image(path).pixels == tuple(PIXELS)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # Never asked for in one read larger than the file.
+            (b"P6 100000 100000 255\nabc", "expected 30000000000 bytes, got 3"),
+            (make_p6(2, 2, PIXELS)[:-1], "expected 12 bytes, got 11"),
+        ],
+        ids=["size-past-the-end", "one-byte-short"],
+    )
+    def test_truncated_raster_message(self, tmp_path, data, message):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError) as caught:
+            read_image(path)
+        assert str(caught.value) == f"truncated P6 pixel data: {message}"
+
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        path = tmp_path / "trailing.ppm"
+        path.write_bytes(make_p6(2, 2, PIXELS) + b"P6 more bytes\n" * 10)
+        assert read_image(path).samples == bytes(v for px in PIXELS for v in px)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo_reads_like_the_regular_file(self, tmp_path):
+        # Larger than a pipe's buffer, so the writer blocks until read.
+        rng = random.Random(5)
+        data = b"P6\n200 120\n255\n" + rng.randbytes(3 * 200 * 120) + b"tail"
+        regular = tmp_path / "image.ppm"
+        regular.write_bytes(data)
+        fifo = tmp_path / "image.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            grid = read_image(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert grid == read_image(regular)
+
+
 class TestPixelGrid:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -413,9 +492,27 @@ class TestPixelGrid:
         assert read_image(path).samples == bytes([255, 0, 0, 0, 9, 200])
 
 
+def test_read_image_holds_the_raster_once(tmp_path):
+    # The raster is read into the bytes the grid keeps: no whole-file copy
+    # and no slice of it (the traced peak of a whole read is 2.00x).
+    side = 512
+    raster = random.Random(8).randbytes(3 * side * side)
+    path = tmp_path / "noise.ppm"
+    path.write_bytes(b"P6\n%d %d\n255\n" % (side, side) + raster)
+    tracemalloc.start()
+    try:
+        grid = read_image(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.samples == raster
+    assert peak < 1.25 * len(raster)
+
+
 def test_label_memory_stays_near_the_raster_size(tmp_path, colibri):
     # Reading and labelling a 512x512 image must not hold an object per
-    # pixel: the traced peak stays within a small multiple of the raster.
+    # pixel, nor a second copy of the raster: the traced peak stays near
+    # the raster itself.
     side = 512
     raster = bytes([200, 40, 0, 30, 90, 220]) * (side * side // 2)
     path = tmp_path / "two-colour.ppm"
@@ -428,4 +525,4 @@ def test_label_memory_stays_near_the_raster_size(tmp_path, colibri):
     finally:
         tracemalloc.stop()
     assert descriptor.total() == pytest.approx(1.0)
-    assert peak < 4 * len(raster)
+    assert peak < 1.25 * len(raster)
