@@ -6,7 +6,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
+from itertools import chain, repeat
 from math import fsum
+from struct import Struct
 from typing import TYPE_CHECKING, Mapping
 
 from ._value import Value, _number, _shown
@@ -26,10 +28,13 @@ _RGB_WORD_OFFSETS = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 # The float colorsys sees for each 8-bit channel value, x / 255.0.
 _UNIT = tuple(x / 255.0 for x in range(256))
 
-# Pixels in a tile, and about how many blocks the tiles are counted in; see
-# _colour_counts.
+# Pixels in a tile, about how many blocks the tiles are counted in, and
+# tiles cut by one unpack (2,688 bytes of samples); see _colour_counts. A
+# chunk's tuple, 488 bytes with its GC header, stays within the 512 bytes
+# that Python's small-object allocator serves, so no chunk calls malloc.
 _TILE = 16
 _BLOCKS = 16
+_CHUNK = 56
 
 
 class HsvColor(Value):
@@ -246,27 +251,32 @@ def _colour_counts(samples: bytes) -> Counter:
     The tail of fewer than _TILE pixels is counted pixel by pixel too.
     Tiles seen equally often are counted together by their pixels, and each
     pixel's count is multiplied by how often its tile was seen.
-    """
-    # Loaded on first use: only images need it; re keeps the compiled pattern.
-    import re
 
+    A block's tiles are cut by one struct unpack per chunk of _CHUNK tiles
+    and each chunk is counted as it is cut, so one chunk of tile objects is
+    alive at a time. A block's last, shorter chunk is cut by a Struct of its
+    own length.
+    """
     tile_bytes = 3 * _TILE
-    tiles_of = re.compile(rb"(?s).{%d}" % tile_bytes).findall
+    chunk_bytes = _CHUNK * tile_bytes
+    cut_chunk = Struct(f"{tile_bytes}s" * _CHUNK).unpack_from
     n = len(samples) // 3
     end = n // _TILE * tile_bytes
     step = -(-n // _TILE // _BLOCKS) * tile_bytes
-    view = memoryview(samples)
     tiles = Counter()
     start = 0
     while start < end:
-        found = tiles_of(view[start : min(start + step, end)])
+        stop = min(start + step, end)
+        last = stop - (stop - start) % chunk_bytes
         known = len(tiles)
-        tiles.update(found)
-        size = len(found)
-        # Only one block's tile objects are alive at a time: this block's go
-        # before the next findall makes its own.
-        del found
-        start += size * tile_bytes
+        # chain drops each chunk's tuple of tiles before map cuts the next.
+        offsets = range(start, last, chunk_bytes)
+        tiles.update(chain.from_iterable(map(cut_chunk, repeat(samples), offsets)))
+        if last < stop:
+            cut_last = Struct(f"{tile_bytes}s" * ((stop - last) // tile_bytes)).unpack_from
+            tiles.update(cut_last(samples, last))
+        size = (stop - start) // tile_bytes
+        start = stop
         if 3 * (len(tiles) - known) > size:
             break
     colours = Counter(_words(samples[start:]).cast("I"))

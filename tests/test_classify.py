@@ -1,10 +1,12 @@
 import colorsys
 import math
 import random
+import tracemalloc
 from collections import Counter
 from enum import IntEnum
 from itertools import permutations, product
 from math import fsum
+from struct import Struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -404,6 +406,75 @@ def traced_counts(monkeypatch, samples):
     return counts, sizes
 
 
+def chunk_cases():
+    """(width, height, samples, pixels counted past the tile-counted blocks,
+    tiles cut by each unpack).
+
+    A block of b tiles is cut in b // 56 whole chunks of _CHUNK = 56 tiles,
+    then one shorter chunk of b % 56 tiles, if any. An image of n pixels has
+    blocks of ceil(ceil(n / 16) / 16) tiles, and the last block holds the
+    rest of its n // 16 tiles. The flat images are posterized ramps, counted
+    by tiles throughout.
+    """
+    rng = random.Random(28)
+
+    def flat(width, height, steps=8):
+        return ramp_row(width, steps, 0.7) * height
+
+    def noise(width, height):
+        return rng.randbytes(3 * width * height)
+
+    # 160x95: 950 tiles in 15 blocks of 60 and a last block of 50.
+    switching = flat(160, 95)[: 4 * 60 * 48] + noise(160, 95)[4 * 60 * 48 :]
+    return {
+        # 80x128: 640 tiles, 16 blocks of 40.
+        "blocks shorter than a chunk": (80, 128, flat(80, 128), 0, [40] * 16),
+        # 112x128: 896 tiles, 16 blocks of 56.
+        "blocks of one chunk": (112, 128, flat(112, 128), 0, [56] * 16),
+        # 240x160: 2,400 tiles, 16 blocks of 150.
+        "blocks of two chunks and a shorter one": (
+            240, 160, flat(240, 160), 0, [56, 56, 38] * 16
+        ),
+        # 129x113: 911 tiles and a pixel, in 15 blocks of 57 and a last
+        # block of one chunk. Tiles start at every place in a row, so the
+        # ramp has two hues, for 32 distinct tiles.
+        "a last block of one chunk, the others a tile longer": (
+            129, 113, flat(129, 113, 2), 1, [56, 1] * 15 + [56]
+        ),
+        "a last block shorter than a chunk": (160, 95, flat(160, 95), 0, [56, 4] * 15 + [50]),
+        # Blocks 0-3 are flat; block 4, the first of noise, switches to
+        # pixels after its shorter last chunk.
+        "a switch after a shorter last chunk": (
+            160, 95, switching, 160 * 95 - 5 * 60 * 16, [56, 4] * 5
+        ),
+        "noise, switching after the first block's shorter chunk": (
+            160, 95, noise(160, 95), 160 * 95 - 60 * 16, [56, 4]
+        ),
+    }
+
+
+CHUNK_CASES = chunk_cases()
+
+
+def traced_cuts(monkeypatch, samples):
+    """Tiles cut by each unpack of _colour_counts of samples, in order."""
+    cuts = []
+
+    class Spy:
+        def __init__(self, format):
+            self.unpack = Struct(format).unpack_from
+
+        def unpack_from(self, buffer, offset):
+            tiles = self.unpack(buffer, offset)
+            cuts.append(len(tiles))
+            return tiles
+
+    monkeypatch.setattr(classify, "Struct", Spy)
+    _colour_counts(samples)
+    monkeypatch.undo()
+    return cuts
+
+
 @st.composite
 def palette_grids(draw):
     """Grids of random size whose pixels repeat a motif over a small palette,
@@ -617,6 +688,33 @@ class TestImageDescriptor:
         assert bits(image_descriptor(colibri, grid)) == bits(
             scan_descriptor(colibri, grid, DEFAULT_GATE)
         )
+
+    @pytest.mark.parametrize("case", list(CHUNK_CASES))
+    def test_chunk_edges_count_and_describe_per_pixel(self, colibri, monkeypatch, case):
+        width, height, samples, past_tiles, cuts = CHUNK_CASES[case]
+        assert traced_cuts(monkeypatch, samples) == cuts
+        counts, sizes = traced_counts(monkeypatch, samples)
+        assert sizes[0] == past_tiles
+        assert counts == pixel_counts(samples)
+        grid = PixelGrid(width, height, samples)
+        assert bits(image_descriptor(colibri, grid)) == bits(
+            scan_descriptor(colibri, grid, DEFAULT_GATE)
+        )
+
+    def test_one_chunk_of_tiles_is_alive_at_a_time(self):
+        # 1024x1024 pixels of one 16-pixel tile: 16 blocks of 4,096 tiles,
+        # each cut in 73 chunks of 56 and one of 8. A chunk's tiles take
+        # about 5 KB; a whole block's, about 370 KB.
+        a, b = bytes(GREEN_100), bytes(YELLOW_46)
+        samples = (a * 8 + b * 8) * (1024 * 1024 // 16)
+        tracemalloc.start()
+        try:
+            counts = _colour_counts(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == {int.from_bytes(a, "big"): 1 << 19, int.from_bytes(b, "big"): 1 << 19}
+        assert peak < 50_000
 
     @settings(max_examples=100, deadline=None)
     @given(grid=palette_grids())
