@@ -91,48 +91,72 @@ def _load_model(args: argparse.Namespace) -> HuePartition:
     return load_partition(Path(args.model).read_text(encoding="utf-8"))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="fuzzyhue", description="Fuzzy linguistic hue categories")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_metrics(parser: argparse.ArgumentParser) -> None:
+    _add_model_flag(parser)
+    parser.add_argument("--alpha", type=_alpha, default=0.5, help="cut level (default 0.5)")
+    parser.add_argument("--format", choices=("table", "csv"), default="table")
+    parser.set_defaults(func=_cmd_metrics)
 
-    p_metrics = sub.add_parser("metrics", help="print the wideness / boundary-width table")
-    _add_model_flag(p_metrics)
-    p_metrics.add_argument("--alpha", type=_alpha, default=0.5, help="cut level (default 0.5)")
-    p_metrics.add_argument("--format", choices=("table", "csv"), default="table")
-    p_metrics.set_defaults(func=_cmd_metrics)
 
-    p_classify = sub.add_parser("classify", help="fuzzy memberships of a single color")
-    color = p_classify.add_mutually_exclusive_group(required=True)
+def _add_classify(parser: argparse.ArgumentParser) -> None:
+    color = parser.add_mutually_exclusive_group(required=True)
     color.add_argument("--hue", type=_finite, help="hue in degrees")
     color.add_argument("--rgb", type=_rgb_triple, metavar="R,G,B", help="8-bit RGB color")
-    _add_model_flag(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
+    _add_model_flag(parser)
+    parser.set_defaults(func=_cmd_classify)
 
-    p_label = sub.add_parser("label", help="dominant fuzzy color labels of an image")
-    p_label.add_argument("image", metavar="IMAGE", help="PPM image path")
-    p_label.add_argument(
+
+def _add_label(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("image", metavar="IMAGE", help="PPM image path")
+    parser.add_argument(
         "--top-k", type=_in_range(int, 1, 10), default=3, help="number of labels, 1-10 (default 3)"
     )
-    _add_model_flag(p_label)
-    p_label.add_argument("--s-min", type=_threshold, default=0.15, help="chromatic saturation floor")
-    p_label.add_argument("--v-min", type=_threshold, default=0.10, help="chromatic value floor")
-    p_label.set_defaults(func=_cmd_label)
+    _add_model_flag(parser)
+    parser.add_argument("--s-min", type=_threshold, default=0.15, help="chromatic saturation floor")
+    parser.add_argument("--v-min", type=_threshold, default=0.10, help="chromatic value floor")
+    parser.set_defaults(func=_cmd_label)
 
-    p_plot = sub.add_parser("plot", help="write an SVG figure")
-    p_plot.add_argument("kind", choices=("memberships", "spectrum"))
-    p_plot.add_argument("--out", required=True, metavar="FILE.svg")
-    _add_model_flag(p_plot)
-    p_plot.add_argument("--alpha", type=_alpha, default=0.5, help="alpha-cut line level")
-    p_plot.set_defaults(func=_cmd_plot)
 
-    p_validate = sub.add_parser("validate", help="check all partition invariants")
-    p_validate.add_argument("--model", metavar="FILE", required=True)
-    p_validate.set_defaults(func=_cmd_validate)
+def _add_plot(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("kind", choices=("memberships", "spectrum"))
+    parser.add_argument("--out", required=True, metavar="FILE.svg")
+    _add_model_flag(parser)
+    parser.add_argument("--alpha", type=_alpha, default=0.5, help="alpha-cut line level")
+    parser.set_defaults(func=_cmd_plot)
 
-    p_report = sub.add_parser("report", help="category asymmetry report")
-    _add_model_flag(p_report)
-    p_report.set_defaults(func=_cmd_report)
 
+def _add_validate(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", metavar="FILE", required=True)
+    parser.set_defaults(func=_cmd_validate)
+
+
+def _add_report(parser: argparse.ArgumentParser) -> None:
+    _add_model_flag(parser)
+    parser.set_defaults(func=_cmd_report)
+
+
+# Subcommand name -> (help line, function that adds its arguments), in the
+# order the usage line lists them.
+_COMMANDS = {
+    "metrics": ("print the wideness / boundary-width table", _add_metrics),
+    "classify": ("fuzzy memberships of a single color", _add_classify),
+    "label": ("dominant fuzzy color labels of an image", _add_label),
+    "plot": ("write an SVG figure", _add_plot),
+    "validate": ("check all partition invariants", _add_validate),
+    "report": ("category asymmetry report", _add_report),
+}
+
+
+def build_parser(commands=_COMMANDS) -> _Parser:
+    """The ``fuzzyhue`` parser with the subcommands named in ``commands``,
+    all six by default. ``cli_main`` builds one with only the subcommand it
+    runs; that parser's own usage line lists that name alone.
+    """
+    parser = _Parser(prog="fuzzyhue", description="Fuzzy linguistic hue categories")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -223,9 +247,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one ``fuzzyhue`` command on ``argv`` (default ``sys.argv[1:]``)
+    and return its exit code.
+
+    When ``argv[0]`` is exactly a subcommand name, only that subcommand's
+    parser is built. The top-level parser hands all of ``argv`` to it, so it
+    parses, and words help and errors, as the full parser would; only
+    leftover arguments, which the full parser reports under its six-command
+    usage line, send ``argv`` to ``build_parser()`` again. Any other
+    ``argv`` (empty, ``-h``, ``--``, an unknown name or a prefix of one) is
+    parsed by the full parser. Nothing is kept between calls.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = [name for name in argv[:1] if name in _COMMANDS] or _COMMANDS
     try:
-        args = parser.parse_args(argv)
+        args, extras = build_parser(commands).parse_known_args(argv)
+        if extras:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # ConfigError, PartitionError and ImageFormatError are ValueErrors too;

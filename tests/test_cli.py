@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -602,3 +603,84 @@ def test_library_import_leaves_the_cli_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def parse_then_run(argv):
+    """What ``cli_main`` did with one full parser per call: parse ``argv``
+    with ``build_parser()``, then run the command it names.
+    (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Help, usage errors and the parses they border, as argv templates: {image}
+# is an image file. Each subcommand also appears with -h and with a required
+# argument (or, where it has none, an option's value) missing.
+COMMAND_NAMES = ("metrics", "classify", "label", "plot", "validate", "report")
+PARSER_CASES = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("bogus",),
+    ("labe",),
+    ("--",),
+    ("-h", "label"),
+    *((name, "-h") for name in COMMAND_NAMES),
+    ("metrics", "--alpha"),
+    ("classify",),
+    ("label",),
+    ("plot",),
+    ("plot", "spectrum"),
+    ("validate",),
+    ("report", "--model"),
+    ("label", "{image}", "--top-k", "11"),
+    ("metrics", "--alpha", "0"),
+    ("classify", "--hue", "nan"),
+    ("classify", "--hue", "1", "--rgb", "1,2,3"),
+    ("metrics", "--alph", "0.7"),
+    ("label", "{image}", "--top", "2"),
+    ("label", "{image}", "extra"),
+    ("report", "--bogus"),
+]
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("columns", ["80", "30"])
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_bytes_as_the_full_parser(self, tmp_path, monkeypatch, argv, columns):
+        # argparse wraps help and usage at $COLUMNS.
+        monkeypatch.setenv("COLUMNS", columns)
+        got = run_on_files(tmp_path, argv)
+        assert got == parse_then_run([arg.format(image=tmp_path / "image.ppm") for arg in argv])
+
+    def test_leftover_argument_gets_the_six_command_usage(self, tmp_path):
+        # A parser holding label alone would print {label} here.
+        code, out, err = run_on_files(tmp_path, ["label", "{image}", "extra"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "usage: fuzzyhue [-h] {metrics,classify,label,plot,validate,report} ...\n"
+            "fuzzyhue: error: unrecognized arguments: extra\n"
+        )
+
+    def test_one_call_leaves_less_cyclic_garbage_than_the_full_parser(self):
+        def unreachable(call):
+            """Objects only the cyclic collector frees, left by call()."""
+            gc.collect()
+            gc.disable()
+            try:
+                call()
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["report"])
+            report = unreachable(lambda: cli_main(["report"]))
+        assert report < unreachable(cli.build_parser)
