@@ -3,14 +3,15 @@
 Two figures: the membership curves with a horizontal alpha-cut line, and
 the hue spectrum bar with a marker at every category boundary. All numbers
 are written with fixed three-decimal formatting and elements in a fixed
-order, so identical inputs produce byte-identical documents.
+order, so identical inputs produce byte-identical documents. Colours are
+``hsv_to_rgb(hue, 1.0, 1.0)``'s, computed inline with colorsys' arithmetic,
+so drawing does not load colorsys.
 """
 
 from __future__ import annotations
 
 from ._value import Value, _number
 from .circle import Arc
-from .classify import hsv_to_rgb
 from .partition import HuePartition
 
 _SVG_NS = "http://www.w3.org/2000/svg"
@@ -46,9 +47,22 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
+# colorsys.hsv_to_rgb at s = v = 1, by sector: two channels are 255 and 0,
+# and the third is q in odd sectors and t in even ones. Below 360,
+# hue / 360.0 * 6.0 stays below 6.0, so no sector wraps.
+_SECTORS = ("#ff%02x00", "#%02xff00", "#00ff%02x", "#00%02xff", "#%02x00ff", "#ff00%02x")
+
+
 def _hex_color(hue: float) -> str:
-    r, g, b = hsv_to_rgb(hue, 1.0, 1.0)
-    return f"#{r:02x}{g:02x}{b:02x}"
+    """``hsv_to_rgb(hue, 1.0, 1.0)`` as ``#rrggbb``, for a hue in [0, 360).
+
+    This is colorsys' arithmetic without its checks: ``1.0 * x == x``, so
+    its ``q`` is ``1.0 - f`` and its ``t`` is ``1.0 - (1.0 - f)``, bitwise.
+    """
+    h = hue / 360.0 * 6.0
+    i = int(h)
+    f = h - i
+    return _SECTORS[i] % round(((1.0 - f) if i & 1 else (1.0 - (1.0 - f))) * 255)
 
 
 def _frame(cfg: PlotConfig, left: float, right: float):
@@ -119,20 +133,27 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
         """Each category's polyline ``points``, in ring order.
 
         Samples once: every x is formatted once, and at each x one zone
-        table lookup gives the at most two nonzero memberships. Every other
-        category is exactly 0 there, which formats to the floor. A polyline
-        is joined just before it is yielded, so only the nonzero samples are
-        kept, and they are freed with the loop that takes them.
+        table lookup gives the at most two nonzero memberships. Their ys are
+        formatted inline, but a core sample (``t == 0``) takes the one
+        preformatted y of membership 1. Every other category is exactly 0
+        there, which formats to the floor. A polyline is joined just before
+        it is yielded, so only the nonzero samples are kept, and they are
+        freed with the loop that takes them.
         """
-        xs = [_fmt(x_of(i * cell)) + "," for i in range(steps + 1)]
+        xs = [f"{x_of(i * cell):.3f}," for i in range(steps + 1)]
         floor = _fmt(y_of(0.0))
+        core = _fmt(y_of(1.0))
         flat = [x + floor for x in xs]
         raised: list[list[tuple[int, str]]] = [[] for _ in partition.names]
+        split = partition._split
         for i in range(steps + 1):
-            k, j, t = partition._split(i * cell)
-            for index, mu in ((k, 1.0 - t), (j, t)):
-                if mu:
-                    raised[index].append((i, _fmt(y_of(mu))))
+            k, j, t = split(i * cell)
+            if not t:
+                raised[k].append((i, core))
+                continue
+            # y_of(1.0 - t) and y_of(t), inline.
+            raised[k].append((i, f"{top + (1.0 - (1.0 - t)) * plot_h:.3f}"))
+            raised[j].append((i, f"{top + (1.0 - t) * plot_h:.3f}"))
         for pairs in raised:
             samples = flat.copy()
             for i, y in pairs:
@@ -165,9 +186,9 @@ def render_memberships(partition: HuePartition, config: PlotConfig | None = None
 def render_spectrum(partition: HuePartition, config: PlotConfig | None = None) -> str:
     """Hue spectrum bar with a vertical marker at every category boundary.
 
-    Strips are colored at full saturation and value; markers sit at the
-    half-membership crossings, and optional labels center on each crisp
-    region.
+    Strips are colored at full saturation and value by ``_hex_color``, one
+    call a strip; markers sit at the half-membership crossings, and optional
+    labels center on each crisp region.
     """
     cfg = config or PlotConfig()
     left, right, top, bottom = 15.0, 15.0, 15.0, 45.0
@@ -177,12 +198,11 @@ def render_spectrum(partition: HuePartition, config: PlotConfig | None = None) -
     y_attr, h_attr = _fmt(top), _fmt(bar_h)
     for i in range(steps):
         x0, x1 = edges[i], edges[i + 1]
-        color = _hex_color((i + 0.5) * cell)
         # Slight bleed so adjacent strips leave no hairline gaps.
         width = (x1 - x0) + (0.2 if i + 1 < steps else 0.0)
         parts.append(
-            f'<rect class="strip" x="{_fmt(x0)}" y="{y_attr}" '
-            f'width="{_fmt(width)}" height="{h_attr}" fill="{color}"/>'
+            f'<rect class="strip" x="{x0:.3f}" y="{y_attr}" '
+            f'width="{width:.3f}" height="{h_attr}" fill="{_hex_color((i + 0.5) * cell)}"/>'
         )
 
     for boundary in partition.boundaries:

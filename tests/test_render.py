@@ -1,13 +1,19 @@
 import hashlib
+import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzyhue
 from conftest import random_boundary_specs
 from fuzzyhue import (
     RING,
@@ -17,9 +23,11 @@ from fuzzyhue import (
     PlotConfig,
     builtin_colibri,
     from_boundaries,
+    hsv_to_rgb,
     render_memberships,
     render_spectrum,
 )
+from fuzzyhue.render import _hex_color
 
 # Layout constants pinned by the renderer.
 MEMBERS_LEFT, MEMBERS_RIGHT = 45.0, 15.0
@@ -45,6 +53,20 @@ def rotated_builtin():
     return builtin_colibri().rotated(30)
 
 
+# Sixteen boundaries, each written out; the first zone straddles 0.
+SIXTEEN_BOUNDARIES = (
+    (1.5, 8.0), (22.0, 3.0), (44.25, 12.5), (66.0, 5.0),
+    (90.5, 9.0), (111.0, 2.5), (135.75, 14.0), (158.0, 6.0),
+    (180.0, 10.0), (203.5, 4.0), (225.0, 11.0), (248.25, 7.5),
+    (270.0, 3.5), (292.5, 13.0), (315.0, 5.5), (337.75, 9.5),
+)
+
+
+def sixteen_category_partition():
+    specs = [BoundarySpec(position, width) for position, width in SIXTEEN_BOUNDARIES]
+    return from_boundaries(specs, [f"c{i}" for i in range(16)])
+
+
 class TestPlotConfig:
     def test_defaults_valid(self):
         cfg = PlotConfig()
@@ -66,6 +88,50 @@ class TestPlotConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             PlotConfig(**kwargs)
+
+
+def checked_hex_color(hue):
+    return "#%02x%02x%02x" % hsv_to_rgb(hue, 1.0, 1.0)
+
+
+# The sector edges, their neighbours, the least positive hue and the last
+# hue below 360.
+EDGE_HUES = [
+    0.0,
+    5e-324,
+    *(
+        h
+        for edge in (60.0, 120.0, 180.0, 240.0, 300.0)
+        for h in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 360.0))
+    ),
+    math.nextafter(360.0, 0.0),
+]
+
+
+class TestHexColor:
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(0.0, 360.0, exclude_max=True))
+    def test_is_the_checked_conversion(self, hue):
+        assert _hex_color(hue) == checked_hex_color(hue)
+
+    @pytest.mark.parametrize("hue", EDGE_HUES, ids=repr)
+    def test_sector_edges(self, hue):
+        assert _hex_color(hue) == checked_hex_color(hue)
+
+
+def test_figures_do_not_load_colorsys():
+    code = (
+        "import sys; from fuzzyhue import builtin_colibri, render_memberships, render_spectrum;"
+        " render_spectrum(builtin_colibri()); render_memberships(builtin_colibri());"
+        " print('colorsys' in sys.modules)"
+    )
+    src = str(Path(fuzzyhue.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestRenderMemberships:
@@ -241,7 +307,13 @@ def test_markup_in_category_names_is_escaped(render):
 # ring's were recorded from the per-category renderer that sampled every
 # category at every x. Those of the 2-category ring and of the rotated
 # builtin ring (magenta straddles 0, and the magenta/red zone starts at 0)
-# were recorded before the figures shared one frame.
+# were recorded before the figures shared one frame. The rest were recorded
+# while every strip's colour still came from the checked hsv_to_rgb: 36,000
+# samples at the finest step, the coarsest step on the narrowest figure, no
+# labels, and a ring of sixteen categories.
+FINE_CONFIG = PlotConfig(sample_step=0.01)
+COARSE_NARROW_CONFIG = PlotConfig(width_px=200, sample_step=5.0)
+UNLABELLED_CONFIG = PlotConfig(show_labels=False)
 SVG_DIGESTS = {
     (builtin_colibri, render_memberships, PlotConfig()): (
         "b987f1331eac324da5897b7c87575cf74d90657a4967bc551e072f6334c2b2e5"
@@ -267,6 +339,30 @@ SVG_DIGESTS = {
     (rotated_builtin, render_spectrum, WIDE_CONFIG): (
         "a68ee5e7aeeb305b675e15b120bec9c4dccf762db4a36fd175fc7db9071826a8"
     ),
+    (builtin_colibri, render_memberships, FINE_CONFIG): (
+        "ea6533317c314d19276437f1c3fc7ebb4dd7907922367997bb2ac1c54f6ed945"
+    ),
+    (builtin_colibri, render_spectrum, FINE_CONFIG): (
+        "e5c6ae542fb542a2c8726a2f6d2bb085c9bb8a13bc4bc736f18946d01e98ed1d"
+    ),
+    (builtin_colibri, render_memberships, COARSE_NARROW_CONFIG): (
+        "a7bc8d9ed13e6ee43be79eddeb8491167722c2a27dfc93436ba4fa888c7692f9"
+    ),
+    (builtin_colibri, render_spectrum, COARSE_NARROW_CONFIG): (
+        "5a5370185e310c7adc67638275d2252b18ba649cf77fc92460c832601aae88a6"
+    ),
+    (builtin_colibri, render_memberships, UNLABELLED_CONFIG): (
+        "b23bb4e0e4e148deb638e5ede96544437f19a18b07c936f98f6071e102cbc9c4"
+    ),
+    (builtin_colibri, render_spectrum, UNLABELLED_CONFIG): (
+        "7192d5027559133bc69cf9416c1fe2b4e76f3866d8086073d1eac21012d853a3"
+    ),
+    (sixteen_category_partition, render_memberships, PlotConfig()): (
+        "abc335b472cb77400a0aea5d788285b82a6c5514f19466488ea93ec0a5691ffa"
+    ),
+    (sixteen_category_partition, render_spectrum, PlotConfig()): (
+        "66db5f0afe388e4c2140fd18f4ebb81b6bc54d8cb9ee951890fd2d5b2b697d8d"
+    ),
 }
 
 
@@ -282,6 +378,14 @@ SVG_DIGESTS = {
         "spectrum-two-category-wide",
         "memberships-rotated-30-wide",
         "spectrum-rotated-30-wide",
+        "memberships-fine",
+        "spectrum-fine",
+        "memberships-coarse-narrow",
+        "spectrum-coarse-narrow",
+        "memberships-unlabelled",
+        "spectrum-unlabelled",
+        "memberships-sixteen-category",
+        "spectrum-sixteen-category",
     ],
 )
 def test_builtin_svg_bytes_are_pinned(build, render, cfg):
