@@ -14,8 +14,8 @@ from ._value import Value, _shown
 PERIOD = 360.0
 
 # Absolute tolerance for angle comparisons, in degrees. Knots and cut ends
-# carry rounding: a core this little below zero is a pair of touching zones,
-# and a cut longer than its support by more than this has wrapped past a
+# carry rounding: a core less than half this below zero is a pair of touching
+# zones, and a cut longer than its support by more than this has wrapped past a
 # triangle's apex. The one other tolerance, metrics._CHECK_TOL, lets checked
 # sums of rounded values miss.
 TOL = 1e-9

@@ -285,13 +285,15 @@ def _colour_counts(samples: bytes) -> Counter:
     groups = {1: []}
     for tile, m in tiles.items():
         groups.setdefault(m, []).append(tile)
+    # get() keeps each new colour off Counter.__missing__, a Python method.
+    get = colours.get
     for m, group in groups.items():
         pixels = _words(b"".join(group)).cast("I")
         if m == 1:
             colours.update(pixels)
         else:
             for key, count in Counter(pixels).items():
-                colours[key] += count * m
+                colours[key] = get(key, 0) + count * m
     return colours
 
 

@@ -147,15 +147,12 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands=_COMMANDS) -> _Parser:
-    """The ``fuzzyhue`` parser with the subcommands named in ``commands``,
-    all six by default. ``cli_main`` builds one with only the subcommand it
-    runs; that parser's own usage line lists that name alone.
-    """
+def build_parser() -> _Parser:
+    """The full ``fuzzyhue`` parser, with all six subcommands. ``cli_main``
+    uses it for any ``argv`` a subcommand's standalone parser does not take."""
     parser = _Parser(prog="fuzzyhue", description="Fuzzy linguistic hue categories")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        help_text, add_arguments = _COMMANDS[name]
+    for name, (help_text, add_arguments) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -250,19 +247,21 @@ def cli_main(argv: list[str] | None = None) -> int:
     """Run one ``fuzzyhue`` command on ``argv`` (default ``sys.argv[1:]``)
     and return its exit code.
 
-    When ``argv[0]`` is exactly a subcommand name, only that subcommand's
-    parser is built. The top-level parser hands all of ``argv`` to it, so it
-    parses, and words help and errors, as the full parser would; only
-    leftover arguments, which the full parser reports under its six-command
-    usage line, send ``argv`` to ``build_parser()`` again. Any other
-    ``argv`` (empty, ``-h``, ``--``, an unknown name or a prefix of one) is
-    parsed by the full parser. Nothing is kept between calls.
+    When ``argv[0]`` is exactly a subcommand name, ``argv[1:]`` is parsed by
+    that subcommand's standalone parser, built as ``add_parser`` builds it
+    (same class and ``prog``), so help and errors read as the full parser's.
+    Leftover arguments, which the full parser reports under its six-command
+    usage line, and any other ``argv`` (empty, ``-h``, ``--``, an unknown
+    name or a prefix of one) go to ``build_parser()``. Nothing is kept.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    commands = [name for name in argv[:1] if name in _COMMANDS] or _COMMANDS
+    name = argv[0] if argv else None
     try:
-        args, extras = build_parser(commands).parse_known_args(argv)
-        if extras:
+        if name in _COMMANDS:
+            parser = _Parser(prog=f"fuzzyhue {name}")
+            _COMMANDS[name][1](parser)
+            args, extras = parser.parse_known_args(argv[1:])
+        if name not in _COMMANDS or extras:
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

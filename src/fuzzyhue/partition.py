@@ -94,7 +94,9 @@ class HuePartition(Value):
     included, exactly one descends. Construction validates both fields once
     and derives ``sets``: the category between boundaries L and R gets the
     :class:`CircularTrapezoid` with knots ``L.position -/+ L.width/2`` and
-    ``R.position -/+ R.width/2``. Immutable; every query is a pure function.
+    ``R.position -/+ R.width/2``; a zone that would start less than
+    ``TOL / 2`` before the previous one ends starts where it ends instead.
+    Immutable; every query is a pure function.
     The trapezoids are the reference for :func:`~fuzzyhue.metrics.check` and
     the metrics. Lookups read a zone table built from the same knots on
     first use: inside boundary k's zone the membership moves linearly from
@@ -128,12 +130,16 @@ class HuePartition(Value):
                     f"the circle, got {cur} after {prev}"
                 )
 
-        sets = []
+        # Zone k runs from starts[k] to ends[k], around boundaries[k].
+        starts = [b.position - b.width / 2.0 for b in boundaries]
+        ends = [b.position + b.width / 2.0 for b in boundaries]
         for i, name in enumerate(names):
             left, right = boundaries[i - 1], boundaries[i]
             spacing = gap(left.position, right.position)
             core = spacing - (left.width + right.width) / 2.0
-            if core < -TOL:
+            # Half the tolerance: the overlap is cut off the later zone below,
+            # and check() must still find that zone's width within TOL.
+            if core < -TOL / 2.0:
                 raise InconsistentCoreError(name, -core)
             span = spacing + (left.width + right.width) / 2.0
             if span >= PERIOD:
@@ -141,22 +147,22 @@ class HuePartition(Value):
                     f"support of category {name!r} would cover the whole circle "
                     f"({span:.6g} degrees)"
                 )
-            a = left.position - left.width / 2.0
-            b = wrap(left.position + left.width / 2.0)
-            c = wrap(right.position - right.width / 2.0)
             # The core is the arc from b to c. Where the zones around it touch
             # or overlap within the tolerance, the rounded c can land just
             # before b, whatever the sign of the core formula, and the arc
             # then differs from it by nearly a turn: there is no core, and the
-            # earlier zone keeps the overlap.
+            # earlier zone keeps the overlap, so the later one starts at b.
+            b, c = wrap(ends[i - 1]), wrap(starts[i])
             if abs(gap(b, c) - core) >= PERIOD / 2.0:
-                c = b
-            d = right.position + right.width / 2.0
+                starts[i] = b
+        sets = []
+        for i, name in enumerate(names):
             try:
-                sets.append(CircularTrapezoid(a, b, c, d))
+                sets.append(CircularTrapezoid(starts[i - 1], ends[i - 1], starts[i], ends[i]))
             except ValueError as exc:
                 # A zone narrower than the spacing of floats near its crossing
-                # collapses a shoulder to zero width.
+                # collapses a shoulder to zero width, and one narrower than the
+                # overlap cut off its start ends before it starts.
                 raise PartitionError(f"category {name!r}: {exc}") from None
         fields["sets"] = tuple(sets)
 

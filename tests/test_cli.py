@@ -55,13 +55,17 @@ GREEN_P6 = make_p6(2, 2, [(85, 255, 0)] * 4)
 DEEP_JSON = b"[" * 3000 + b"\n"
 
 
+def fill_paths(directory, argv):
+    """argv with {image} and {out} as run_on_files fills them in directory."""
+    return [arg.format(image=directory / "image.ppm", out=directory / "fig.svg") for arg in argv]
+
+
 def run_on_files(directory, argv, model=None, image=GREEN_P6):
     """cli_main on argv, with {image} and {out} in directory, and with
     ``--model`` given the bytes ``model`` in a file unless None:
     (exit code, stdout, stderr)."""
-    image_path = directory / "image.ppm"
-    image_path.write_bytes(image)
-    argv = [arg.format(image=image_path, out=directory / "fig.svg") for arg in argv]
+    (directory / "image.ppm").write_bytes(image)
+    argv = fill_paths(directory, argv)
     if model is not None:
         model_path = directory / "model.json"
         model_path.write_bytes(model)
@@ -616,7 +620,11 @@ def parse_then_run(argv):
         except SystemExit as exc:
             code = int(exc.code or 0)
         else:
-            code = args.func(args)
+            try:
+                code = args.func(args)
+            except (OSError, ValueError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = cli.DATA_ERROR
     return code, out.getvalue(), err.getvalue()
 
 
@@ -648,7 +656,25 @@ PARSER_CASES = [
     ("label", "{image}", "--top", "2"),
     ("label", "{image}", "extra"),
     ("report", "--bogus"),
+    # Shapes that a top-level parser around the subcommand used to see first.
+    ("label", "--", "{image}"),
+    ("label", "{image}", "--top-k=3"),
+    ("metrics", "--mod"),
+    ("classify", "--hue", "-5"),
+    ("plot", "spectrum", "--out"),
+    ("report", "-h", "extra"),
+    ("validate", "--model", ""),
 ]
+
+# Words random argv are drawn from: the six names, their options and values,
+# "--", help flags, abbreviations and junk.
+ARGV_WORDS = (
+    *COMMAND_NAMES,
+    *("--model", "--alpha", "--format", "--hue", "--rgb", "--top-k", "--s-min", "--v-min"),
+    *("--out", "--mod", "--alph", "--top", "--top-k=3", "--alpha=0.3", "--hue=-5", "-h"),
+    *("--help", "--", "-", "", "memberships", "spectrum", "csv", "table", "0", "0.5", "-5"),
+    *("nan", "11", "1,2,3", "255,170,0", "{image}", "{out}", "labe", "bogus", "extra"),
+)
 
 
 class TestParserPerCommand:
@@ -658,7 +684,26 @@ class TestParserPerCommand:
         # argparse wraps help and usage at $COLUMNS.
         monkeypatch.setenv("COLUMNS", columns)
         got = run_on_files(tmp_path, argv)
-        assert got == parse_then_run([arg.format(image=tmp_path / "image.ppm") for arg in argv])
+        assert got == parse_then_run(fill_paths(tmp_path, argv))
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        argv=st.one_of(
+            st.lists(st.sampled_from(ARGV_WORDS), max_size=6),
+            st.builds(
+                lambda name, rest: [name, *rest],
+                st.sampled_from(COMMAND_NAMES),
+                st.lists(st.sampled_from(ARGV_WORDS), max_size=5),
+            ),
+        )
+    )
+    def test_random_argv_same_bytes_as_the_full_parser(self, tmp_path, monkeypatch, argv):
+        # A drawn word can be an --out or --model path: keep it in tmp_path.
+        monkeypatch.chdir(tmp_path)
+        got = run_on_files(tmp_path, argv)
+        assert got == parse_then_run(fill_paths(tmp_path, argv))
 
     def test_leftover_argument_gets_the_six_command_usage(self, tmp_path):
         # A parser holding label alone would print {label} here.
@@ -680,7 +725,10 @@ class TestParserPerCommand:
             finally:
                 gc.enable()
 
+        def build_report_parser():
+            cli._COMMANDS["report"][1](cli._Parser(prog="fuzzyhue report"))
+
         with contextlib.redirect_stdout(io.StringIO()):
             cli_main(["report"])
             report = unreachable(lambda: cli_main(["report"]))
-        assert report < unreachable(cli.build_parser)
+        assert report <= unreachable(build_report_parser) < unreachable(cli.build_parser)

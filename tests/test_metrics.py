@@ -122,18 +122,21 @@ class TestBoundaryWidth:
             boundary_width(colibri, "red", "red")
 
     def test_is_the_metrics_table_zone(self):
-        # Category c's core is -5e-10, within the tolerance of zero, so the
-        # supports of a and b overlap in two pieces: the zone at 10 and a
-        # sliver at 105. Only the zone is the boundary width.
+        # Category c's core is -3e-10, within half the tolerance of zero. The
+        # overlap is cut off the later zone, which starts at 105, so the
+        # supports of a and b meet in the zone at 10 alone, with no sliver at
+        # 105, and the width of c's later zone is short by the overlap.
         specs = [BoundarySpec(10.0, 4.0), BoundarySpec(100.0, 10.0),
-                 BoundarySpec(109.9999999995, 10.0)]
+                 BoundarySpec(109.9999999997, 10.0)]
         p = from_boundaries(specs, ("a", "b", "c"))
         rows = metrics_table(p)
         a, b = p.sets[0], p.sets[1]
-        assert len(Arc(a.a, a.d).intersect(Arc(b.a, b.d))) == 2
+        assert Arc(a.a, a.d).intersect(Arc(b.a, b.d)) == [Arc(8.0, 12.0)]
         for k, (name, after) in enumerate(zip(p.names, p.names[1:] + p.names[:1])):
             assert boundary_width(p, name, after) == rows[k].right_boundary_width
         assert boundary_width(p, "a", "b") == 4.0
+        assert boundary_width(p, "c", "a") == pytest.approx(10.0 - 3e-10, abs=1e-13)
+        assert all(r.ok for r in check(p))
 
     def test_two_category_ring_covers_both_zones(self):
         specs = [BoundarySpec(90.0, 10.0), BoundarySpec(270.0, 20.0)]

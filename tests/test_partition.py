@@ -22,6 +22,7 @@ from fuzzyhue import (
     wideness,
     wrap,
 )
+from fuzzyhue.circle import TOL
 from conftest import fall_tolerance, random_boundary_specs, ulp_ring, zone_rule
 
 GOLDEN_METRICS = {
@@ -399,21 +400,20 @@ class TestZoneRule:
                 assert set(values) <= {0.0, 1.0}, hue
 
     def test_overlap_within_tolerance_belongs_to_the_earlier_zone(self):
-        # b's core is -5e-10: zone 1 starts at 11.9999999995, before zone 0
-        # ends at 12. Zone 0 keeps the sliver; zone 1 takes over at 12.
-        specs = [BoundarySpec(10.0, 4.0), BoundarySpec(14.9999999995, 6.0),
+        # b's core is -3e-10: zone 1 would start at 11.9999999997, before zone
+        # 0 ends at 12. Zone 0 keeps the sliver, and zone 1 starts at 12 in
+        # c's trapezoid as in the lookups.
+        specs = [BoundarySpec(10.0, 4.0), BoundarySpec(14.9999999997, 6.0),
                  BoundarySpec(200.0, 10.0)]
         p = from_boundaries(specs, ("a", "b", "c"))
-        b = p.fuzzy_set("b")
-        assert b.c == b.b == 12.0
-        for hue in (11.9999999995, 11.99999999975, math.nextafter(12.0, 0.0)):
+        b, c = p.fuzzy_set("b"), p.fuzzy_set("c")
+        assert b.c == b.b == c.a == 12.0
+        for hue in (11.9999999997, 11.99999999985, math.nextafter(12.0, 0.0)):
             values = p.memberships(hue)
             assert values["c"] == 0.0 and values["a"] > 0.0
             assert_sums_to_one(p, hue)
-        values = p.memberships(12.0)
-        assert values["a"] == 0.0
-        assert 0.0 < values["c"] == p.fuzzy_set("c").membership(12.0) < 1e-10
-        assert_sums_to_one(p, 12.0)
+        assert p.memberships(12.0) == {"a": 0.0, "b": 1.0, "c": 0.0}
+        assert all(r.ok for r in check(p))
 
 
 def seam_ring(rng, count):
@@ -444,6 +444,91 @@ class TestSeamRings:
         results = check(p)
         assert all(r.ok for r in results), results
         assert_matches_scan(p, probe_hues(p, rng) + zone_knots(p), 2 * math.ulp(1.0))
+
+
+def sub_tol_ring(rng, count):
+    """A random ring in which some categories have a core between -TOL and
+    0 between zones 1e-10 to 1e-7 degrees wide: the zones around them
+    overlap by a sliver within the tolerance that can be most of a zone.
+    from_boundaries may refuse it."""
+    specs = random_boundary_specs(rng, count)
+    chosen = rng.sample(range(1, count), rng.randint(1, count - 1))
+    for k in {k for i in chosen for k in (i - 1, i)}:
+        specs[k] = BoundarySpec(specs[k].position, 10.0 ** rng.uniform(-10.0, -7.0))
+    for i in sorted(chosen):
+        left, right = specs[i - 1], specs[i]
+        most = min(TOL, (left.width + right.width) / 2.0)
+        overlap = most * rng.choice([rng.random(), rng.random() / 2.0, 0.5, 0.5 - 1e-9, 1.0])
+        position = left.position + (left.width + right.width) / 2.0 - overlap
+        specs[i] = BoundarySpec(position, right.width)
+    return from_boundaries(specs, [f"c{i}" for i in range(count)])
+
+
+def decimal_rotation(rng, count):
+    """The builtin ring turned by a delta of four decimals (count unused):
+    rounding can make the zones around its triangles, yellow and lightblue,
+    overlap."""
+    return builtin_colibri().rotated(rng.randrange(-3600000, 3600000) / 10000)
+
+
+def random_ring(rng, count):
+    """A consistent random ring (positive cores)."""
+    return from_boundaries(random_boundary_specs(rng, count), [f"c{i}" for i in range(count)])
+
+
+# Its b has a core of -7.3e-10, so two zones a few 1e-9 wide overlap by most
+# of one: check() found 3 nonzero memberships and missed sum-to-one by 0.0805.
+FOUND_RING = [(0.002683402666735757, 4.681106152712866e-09),
+              (0.0026834087973144523, 9.034864852162525e-09), (180.0, 10.0)]
+
+
+class TestAcceptedRingsPassCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 16),
+        family=st.sampled_from(
+            [random_ring, ulp_ring, touching_ring, seam_ring, sub_tol_ring, decimal_rotation]
+        ),
+    )
+    def test_every_accepted_ring_passes_check(self, seed, count, family):
+        try:
+            p = family(random.Random(seed), count)
+        except PartitionError:
+            return
+        results = check(p)
+        assert all(r.ok for r in results), results
+
+    def test_builtin_turned_by_a_decimal_passes_check(self):
+        # Turned by -185.6763, the rounded zones around lightblue overlap by
+        # 2.9e-14 near 0.3237, where check() once found 3 nonzero memberships.
+        results = check(builtin_colibri().rotated(-185.6763))
+        assert all(r.ok for r in results), results
+
+    # The found ring (b's core -7.3e-10), and b's core at -5.0000004e-10,
+    # just past half the tolerance.
+    @pytest.mark.parametrize(
+        "ring", [FOUND_RING, [(10.0, 4.0), (14.9999999995, 6.0), (200.0, 10.0)]]
+    )
+    def test_overlap_of_half_the_tolerance_or_more_is_refused(self, ring):
+        specs = [BoundarySpec(*spec) for spec in ring]
+        with pytest.raises(InconsistentCoreError, match="'b'"):
+            from_boundaries(specs, ("a", "b", "c"))
+
+    def test_overlap_under_half_the_tolerance_is_cut_off_the_later_zone(self):
+        # The found ring with b's core at -3e-10: the zone after b starts where
+        # the zone before it ends, in c's trapezoid and in the lookups alike.
+        (p0, w0), (_, w1), last = FOUND_RING
+        specs = [BoundarySpec(p0, w0), BoundarySpec(p0 + (w0 + w1) / 2.0 - 3e-10, w1),
+                 BoundarySpec(*last)]
+        p = from_boundaries(specs, ("a", "b", "c"))
+        a, b, c = p.sets
+        assert a.d == b.b == b.c == c.a
+        results = check(p)
+        assert all(r.ok for r in results), results
+        for hue in zone_knots(p):
+            values = assert_sums_to_one(p, hue)
+            assert values == pytest.approx([t.membership(hue) for t in p.sets], abs=1e-15)
 
 
 def _circ_err(a, b):
