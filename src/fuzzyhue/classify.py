@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from math import fsum
 from struct import Struct
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ._value import Value, _number, _shown
 from .circle import wrap
@@ -35,6 +35,33 @@ _UNIT = tuple(x / 255.0 for x in range(256))
 _TILE = 16
 _BLOCKS = 16
 _CHUNK = 56
+
+
+def _block_sizes(pixels: int) -> list[int]:
+    """Bytes of each block in which ``pixels`` pixels of packed samples are
+    counted, in raster order; the first block is the longest.
+
+    The pixels // _TILE whole tiles go in blocks of ceil(ceil(pixels /
+    _TILE) / _BLOCKS) tiles, about a sixteenth of the image, the last of
+    them maybe shorter. The tail of fewer than _TILE pixels is a block of
+    its own.
+    """
+    tile_bytes = 3 * _TILE
+    end = pixels // _TILE * tile_bytes
+    step = -(-pixels // _TILE // _BLOCKS) * tile_bytes
+    sizes = [min(step, end - start) for start in range(0, end, step or 1)]
+    if end < 3 * pixels:
+        sizes.append(3 * pixels - end)
+    return sizes
+
+
+def _sample_blocks(samples: bytes) -> Iterator[memoryview]:
+    """Packed samples cut into the blocks of _block_sizes, as memoryviews."""
+    view = memoryview(samples)
+    start = 0
+    for size in _block_sizes(len(samples) // 3):
+        yield view[start : start + size]
+        start += size
 
 
 class HsvColor(Value):
@@ -225,32 +252,38 @@ def classify_color(
     return FuzzyColorDescriptor(partition.memberships(hue), 0.0)
 
 
-def _words(samples: bytes) -> memoryview:
+def _words(samples: bytes | memoryview) -> memoryview:
     """One native word 0x00RRGGBB per pixel of packed RGB samples.
 
     Three strided copies spread the channels, so no tuple is built per pixel.
+    A memoryview is copied to bytes first (bytes are kept as they are): a
+    strided slice of bytes is copied in one C loop, a memoryview's about
+    five times slower.
     """
+    samples = bytes(samples)
     words = bytearray(len(samples) // 3 * 4)
     for channel, offset in enumerate(_RGB_WORD_OFFSETS):
         words[offset::4] = samples[channel::3]
     return memoryview(words)
 
 
-def _colour_counts(samples: bytes) -> Counter:
-    """Pixels of each colour in packed RGB samples, keyed by word 0x00RRGGBB.
+def _colour_counts(blocks: Iterable[bytes | memoryview]) -> Counter:
+    """Pixels of each colour in blocks of packed RGB samples, keyed by word
+    0x00RRGGBB.
 
-    The samples are cut into tiles of _TILE neighbouring pixels (a tile may
-    run on into the next row), and the tiles are counted first, block by
-    block, in about _BLOCKS contiguous blocks. Where tiles repeat (flat
-    fills, posterized ramps, repeated or shifted rows) this counts a
-    sixteenth as many items. Once more than one tile in 3 of a block was not
-    seen before, as in photos and noise, every later block is counted pixel
-    by pixel: where each distinct tile recurs only three times, counting the
-    tiles and then their pixels costs about what counting the pixels does.
-    Counts add up, so the blocks already counted by tiles keep their counts.
-    The tail of fewer than _TILE pixels is counted pixel by pixel too.
-    Tiles seen equally often are counted together by their pixels, and each
-    pixel's count is multiplied by how often its tile was seen.
+    The blocks are those of _block_sizes, taken one at a time, so only one
+    block's samples need be held. Each block is cut into tiles of _TILE
+    neighbouring pixels (a tile may run on into the next row), and the tiles
+    are counted first. Where tiles repeat (flat fills, posterized ramps,
+    repeated or shifted rows) this counts a sixteenth as many items. Once
+    more than one tile in 3 of a block was not seen before, as in photos and
+    noise, every later block is counted pixel by pixel, one Counter.update
+    per block: where each distinct tile recurs only three times, counting
+    the tiles and then their pixels costs about what counting the pixels
+    does. Counts add up, so the blocks already counted by tiles keep their
+    counts. The tail of fewer than _TILE pixels is counted pixel by pixel
+    too. Tiles seen equally often are counted together by their pixels, and
+    each pixel's count is multiplied by how often its tile was seen.
 
     A block's tiles are cut by one struct unpack per chunk of _CHUNK tiles
     and each chunk is counted as it is cut, so one chunk of tile objects is
@@ -260,26 +293,27 @@ def _colour_counts(samples: bytes) -> Counter:
     tile_bytes = 3 * _TILE
     chunk_bytes = _CHUNK * tile_bytes
     cut_chunk = Struct(f"{tile_bytes}s" * _CHUNK).unpack_from
-    n = len(samples) // 3
-    end = n // _TILE * tile_bytes
-    step = -(-n // _TILE // _BLOCKS) * tile_bytes
     tiles = Counter()
-    start = 0
-    while start < end:
-        stop = min(start + step, end)
-        last = stop - (stop - start) % chunk_bytes
+    colours = Counter()
+    blocks = iter(blocks)
+    for block in blocks:
+        size = len(block) // tile_bytes
+        stop = size * tile_bytes
+        last = stop - stop % chunk_bytes
         known = len(tiles)
         # chain drops each chunk's tuple of tiles before map cuts the next.
-        offsets = range(start, last, chunk_bytes)
-        tiles.update(chain.from_iterable(map(cut_chunk, repeat(samples), offsets)))
+        offsets = range(0, last, chunk_bytes)
+        tiles.update(chain.from_iterable(map(cut_chunk, repeat(block), offsets)))
         if last < stop:
             cut_last = Struct(f"{tile_bytes}s" * ((stop - last) // tile_bytes)).unpack_from
-            tiles.update(cut_last(samples, last))
-        size = (stop - start) // tile_bytes
-        start = stop
+            tiles.update(cut_last(block, last))
+        if stop < len(block):
+            colours.update(_words(block[stop:]).cast("I"))
         if 3 * (len(tiles) - known) > size:
             break
-    colours = Counter(_words(samples[start:]).cast("I"))
+    # The blocks after the switch, if any, the tail among them.
+    for block in blocks:
+        colours.update(_words(block).cast("I"))
     # The group of tiles seen once is always there and first, and it is added
     # by Counter.update's C loop, with no multiply.
     groups = {1: []}
@@ -304,7 +338,8 @@ def image_descriptor(
 ) -> FuzzyColorDescriptor:
     """Equal-weight average of the per-pixel descriptors of an image.
 
-    Colors are counted by tiles of 16 neighbouring pixels, block by block,
+    The grid's samples are counted block by block, as memoryview slices of
+    about a sixteenth of the image each: by tiles of 16 neighbouring pixels
     while tiles repeat, and pixel by pixel after the first block in which
     they do not (see _colour_counts). Each distinct color is then
     classified once and its counted masses reduced with exact (compensated)
@@ -321,6 +356,17 @@ def image_descriptor(
     n = len(samples) // 3
     if not n:
         raise ValueError("cannot describe an empty image")
+    return _describe(partition, n, _sample_blocks(samples), gate)
+
+
+def _describe(
+    partition: HuePartition,
+    pixels: int,
+    blocks: Iterable[bytes | memoryview],
+    gate: AchromaticGate,
+) -> FuzzyColorDescriptor:
+    """``image_descriptor`` of an image of ``pixels`` pixels (at least one)
+    whose packed samples come in the blocks of _block_sizes, one at a time."""
     # Loaded on first use: only images need it.
     from array import array
 
@@ -337,7 +383,7 @@ def image_descriptor(
     gray = 0
     unit = _UNIT
     gray_from = gate._gray_from
-    for key, count in _colour_counts(samples).items():
+    for key, count in _colour_counts(blocks).items():
         r, g, b = key >> 16, key >> 8 & 255, key & 255
         # _hsv inline, branch by branch, with classify_color's gate looked up
         # on the branch's max and min channel before any float division; a
@@ -402,7 +448,8 @@ def image_descriptor(
         else:
             k_append(count)
     return FuzzyColorDescriptor(
-        {name: fsum(masses) / n for name, masses in zip(partition.names, terms)}, gray / n
+        {name: fsum(masses) / pixels for name, masses in zip(partition.names, terms)},
+        gray / pixels,
     )
 
 

@@ -20,11 +20,11 @@ from .classify import (
     AchromaticGate,
     FuzzyColorDescriptor,
     _check_rgb,
+    _describe,
     classify_color,
     dominant_labels,
-    image_descriptor,
 )
-from .formats import export_metrics_csv, format_number, load_partition, read_image
+from .formats import _image_blocks, export_metrics_csv, format_number, load_partition
 from .metrics import asymmetry_report, check, metrics_table
 from .partition import HuePartition, builtin_colibri
 from .render import PlotConfig, render_memberships, render_spectrum
@@ -194,10 +194,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
-    grid = read_image(args.image)
-    partition = _load_model(args)
-    gate = AchromaticGate(s_min=args.s_min, v_min=args.v_min)
-    descriptor = image_descriptor(partition, grid, gate)
+    # The image's header is checked before the model is loaded, and its
+    # raster is read and counted one block at a time.
+    with Path(args.image).open("rb") as file:
+        pixels, blocks = _image_blocks(file)
+        partition = _load_model(args)
+        gate = AchromaticGate(s_min=args.s_min, v_min=args.v_min)
+        descriptor = _describe(partition, pixels, blocks, gate)
     for label, mass in dominant_labels(descriptor, args.top_k):
         print(f"{label} {mass:.6f}")
     return 0

@@ -8,10 +8,10 @@ import re
 import struct
 from pathlib import Path
 from stat import S_ISREG
-from typing import NoReturn, Sequence
+from typing import BinaryIO, Iterator, NoReturn, Sequence
 
 from ._value import Value, _number
-from .classify import _check_rgb
+from .classify import _block_sizes, _check_rgb, _sample_blocks
 from .metrics import CategoryMetrics
 from .partition import BoundaryOrderError, BoundarySpec, HuePartition, from_boundaries
 
@@ -217,6 +217,83 @@ def _ppm_int(digits: bytes, what: str) -> int:
         raise ImageFormatError(f"{what} has too many digits ({len(digits)})") from None
 
 
+def _truncated_raster(count: int, got: int) -> ImageFormatError:
+    return ImageFormatError(f"truncated P6 pixel data: expected {count} bytes, got {got}")
+
+
+def _read_header(file: BinaryIO) -> tuple[int, int, bytes | None]:
+    """Width, height and packed samples of the PPM image open in ``file``.
+
+    When the header and its separator byte lie within the first _READ_AHEAD
+    bytes of a regular P6 file, the samples are None: ``file`` is left at
+    the raster, which the file's size holds. Anything else (a longer header,
+    P3, a pipe or a device) is read whole. Every image error is raised here,
+    but for a raster that gets shorter while it is read.
+    """
+    data = file.read(_READ_AHEAD)
+    header = _PPM_HEADER.match(data)
+    st = os.fstat(file.fileno())
+    # A header that ends before the read-ahead does was matched on real
+    # bytes: no digit run or comment was cut short, and the separator
+    # byte is here. A pipe's or a device's st_size means nothing.
+    direct = (
+        header is not None
+        and header.end() < len(data)
+        and header[1] == b"P6"
+        and S_ISREG(st.st_mode)
+    )
+    if not direct:
+        data += file.read()
+        header = _PPM_HEADER.match(data)
+    if header is None:
+        if data[:2] in (b"P3", b"P6"):
+            raise ImageFormatError("malformed PPM header: expected width, height and maxval")
+        raise UnsupportedImageFormatError(
+            f"unsupported image format (magic {data[:2]!r}); expected PPM P6 or P3"
+        )
+    magic, *fields = header.groups()
+    width, height, maxval = (_ppm_int(field, "PPM header field") for field in fields)
+    if width <= 0 or height <= 0:
+        raise ImageFormatError(f"invalid PPM dimensions {width}x{height}")
+    if maxval != 255:
+        raise UnsupportedImageFormatError(f"only maxval 255 is supported, got {maxval}")
+    count = 3 * width * height
+    pos = header.end()
+    if magic == b"P6":
+        # Exactly one whitespace byte separates the header from the raster.
+        if pos >= len(data) or data[pos] not in b" \t\r\n":
+            raise ImageFormatError("malformed PPM header: missing raster separator")
+        if direct:
+            # The bytes after the separator; a declared size past them is
+            # refused before anything that large is asked for.
+            got = st.st_size - (pos + 1)
+            if count <= got:
+                file.seek(pos + 1)
+                return width, height, None
+            raise _truncated_raster(count, got)
+        samples = data[pos + 1 : pos + 1 + count]
+        if len(samples) < count:
+            raise _truncated_raster(count, len(samples))
+        return width, height, samples
+    # No file holds more samples than bytes; this also bounds maxsplit.
+    tokens = _PPM_COMMENT.sub(b"", data[pos:]).split(None, min(count, len(data)))[:count]
+    if tokens:
+        # A sample ends at its last digit; nothing after the last one is read.
+        tokens[-1] = _LEADING_DIGITS.match(tokens[-1]).group()
+    samples = []
+    for index, token in enumerate(tokens):
+        if not token.isdigit():
+            break
+        samples.append(_ppm_int(token, "P3 sample"))
+        if samples[-1] > 255:
+            raise ImageFormatError(f"P3 sample {index} out of range: {samples[-1]}")
+    if len(samples) < count:
+        raise ImageFormatError(
+            f"truncated P3 pixel data: expected {count} samples, got {len(samples)}"
+        )
+    return width, height, bytes(samples)
+
+
 def read_image(path: str | Path) -> PixelGrid:
     """Read a PPM image (binary P6; ASCII P3 also accepted).
 
@@ -225,75 +302,55 @@ def read_image(path: str | Path) -> PixelGrid:
     once, straight into the bytes that the grid keeps, and never past the
     size the file holds.
     Anything else (a longer header, P3, a pipe or a device) is read whole.
-    Bytes after the raster are ignored.
+    Bytes after the raster are ignored. ``fuzzyhue label`` parses the header
+    the same way but reads the raster block by block (see _image_blocks).
 
     Raises FileNotFoundError for missing files, ImageFormatError for
     malformed headers or truncated payloads, and
     UnsupportedImageFormatError for anything that is not a 8-bit PPM.
     """
     with Path(path).open("rb") as file:
-        data = file.read(_READ_AHEAD)
-        header = _PPM_HEADER.match(data)
-        st = os.fstat(file.fileno())
-        # A header that ends before the read-ahead does was matched on real
-        # bytes: no digit run or comment was cut short, and the separator
-        # byte is here. A pipe's or a device's st_size means nothing.
-        direct = (
-            header is not None
-            and header.end() < len(data)
-            and header[1] == b"P6"
-            and S_ISREG(st.st_mode)
-        )
-        if not direct:
-            data += file.read()
-            header = _PPM_HEADER.match(data)
-        if header is None:
-            if data[:2] in (b"P3", b"P6"):
-                raise ImageFormatError("malformed PPM header: expected width, height and maxval")
-            raise UnsupportedImageFormatError(
-                f"unsupported image format (magic {data[:2]!r}); expected PPM P6 or P3"
-            )
-        magic, *fields = header.groups()
-        width, height, maxval = (_ppm_int(field, "PPM header field") for field in fields)
-        if width <= 0 or height <= 0:
-            raise ImageFormatError(f"invalid PPM dimensions {width}x{height}")
-        if maxval != 255:
-            raise UnsupportedImageFormatError(f"only maxval 255 is supported, got {maxval}")
-        count = 3 * width * height
-        pos = header.end()
-        if magic == b"P6":
-            # Exactly one whitespace byte separates the header from the raster.
-            if pos >= len(data) or data[pos] not in b" \t\r\n":
-                raise ImageFormatError("malformed PPM header: missing raster separator")
-            if direct:
-                # The bytes after the separator; a declared size past them
-                # is refused before anything that large is asked for.
-                got = st.st_size - (pos + 1)
-                if count <= got:
-                    file.seek(pos + 1)
-                    samples = file.read(count)
-                    got = len(samples)
-            else:
-                samples = data[pos + 1 : pos + 1 + count]
-                got = len(samples)
-            if got < count:
-                raise ImageFormatError(f"truncated P6 pixel data: expected {count} bytes, got {got}")
-        else:
-            # No file holds more samples than bytes; this also bounds maxsplit.
-            tokens = _PPM_COMMENT.sub(b"", data[pos:]).split(None, min(count, len(data)))[:count]
-            if tokens:
-                # A sample ends at its last digit; nothing after the last one is read.
-                tokens[-1] = _LEADING_DIGITS.match(tokens[-1]).group()
-            samples = []
-            for index, token in enumerate(tokens):
-                if not token.isdigit():
-                    break
-                samples.append(_ppm_int(token, "P3 sample"))
-                if samples[-1] > 255:
-                    raise ImageFormatError(f"P3 sample {index} out of range: {samples[-1]}")
+        width, height, samples = _read_header(file)
+        if samples is None:
+            count = 3 * width * height
+            samples = file.read(count)
             if len(samples) < count:
-                raise ImageFormatError(
-                    f"truncated P3 pixel data: expected {count} samples, got {len(samples)}"
-                )
-            samples = bytes(samples)
+                raise _truncated_raster(count, len(samples))
     return PixelGrid(width, height, samples)
+
+
+def _raster_blocks(file: BinaryIO, pixels: int) -> Iterator[memoryview]:
+    """The raster of ``pixels`` pixels at ``file``'s position, read block by
+    block (see classify._block_sizes) into one buffer that each block reuses.
+
+    A block is valid until the next one is read. A raster that got shorter
+    since its header was checked raises ImageFormatError.
+    """
+    sizes = _block_sizes(pixels)
+    buffer = memoryview(bytearray(max(sizes)))
+    got = 0
+    for size in sizes:
+        block = buffer[:size]
+        read = file.readinto(block)
+        got += read
+        if read < size:
+            raise _truncated_raster(3 * pixels, got)
+        yield block
+
+
+def _image_blocks(file: BinaryIO) -> tuple[int, Iterator[memoryview]]:
+    """The pixel count of the PPM image open in ``file``, and its samples in
+    the blocks that classify._colour_counts counts.
+
+    The header is parsed by read_image's parser when this is called, so
+    every image error but a raster that gets shorter is raised here. A
+    raster that read_image would read straight into its grid is read a
+    block at a time, while the blocks are taken; any other is read whole
+    and cut into the same blocks. ``file`` must stay open until the last
+    block has been taken.
+    """
+    width, height, samples = _read_header(file)
+    pixels = width * height
+    if samples is None:
+        return pixels, _raster_blocks(file, pixels)
+    return pixels, _sample_blocks(samples)

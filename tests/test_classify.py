@@ -27,7 +27,15 @@ from fuzzyhue import (
     wrap,
 )
 from fuzzyhue import classify
-from fuzzyhue.classify import DEFAULT_GATE, FuzzyColorDescriptor, _colour_counts
+from fuzzyhue.classify import (
+    DEFAULT_GATE,
+    FuzzyColorDescriptor,
+    _BLOCKS,
+    _TILE,
+    _block_sizes,
+    _colour_counts,
+    _sample_blocks,
+)
 from conftest import fall_tolerance, random_boundary_specs, ulp_ring, zone_rule
 
 # 8-bit colors whose exact hexcone hue is an integer degree value.
@@ -389,21 +397,48 @@ def tile_cases():
 TILE_CASES = tile_cases()
 
 
+def colour_counts(samples):
+    """_colour_counts of packed samples in image_descriptor's blocks."""
+    return _colour_counts(_sample_blocks(samples))
+
+
 def traced_counts(monkeypatch, samples):
-    """_colour_counts of samples, and the pixels of each buffer it turns into
-    words: first those past its tile-counted blocks, then the tiles seen once,
-    then each group of tiles seen equally often."""
+    """traced_block_counts of samples in image_descriptor's blocks."""
+    return traced_block_counts(monkeypatch, _sample_blocks(samples))
+
+
+def traced_block_counts(monkeypatch, blocks):
+    """_colour_counts of blocks, and the pixels of the buffers it turns into
+    words: first, summed, those it turns while it takes the blocks (the
+    blocks past the tile-counted ones, and the tail), then the tiles seen
+    once, then each group of tiles seen equally often.
+
+    While the blocks are taken, no buffer is longer than a block: the
+    pixels past the tile-counted blocks are turned into words block by
+    block.
+    """
     sizes = []
+    taken = []
+    longest = 0
     words = classify._words
 
     def spy(buffer):
         sizes.append(len(buffer) // 3)
         return words(buffer)
 
+    def take():
+        nonlocal longest
+        for block in blocks:
+            longest = max(longest, len(block))
+            yield block
+        taken.append(len(sizes))
+
     monkeypatch.setattr(classify, "_words", spy)
-    counts = _colour_counts(samples)
+    counts = _colour_counts(take())
     monkeypatch.undo()
-    return counts, sizes
+    (end,) = taken
+    assert all(3 * size <= longest for size in sizes[:end])
+    return counts, [sum(sizes[:end]), *sizes[end:]]
 
 
 def chunk_cases():
@@ -470,7 +505,7 @@ def traced_cuts(monkeypatch, samples):
             return tiles
 
     monkeypatch.setattr(classify, "Struct", Spy)
-    _colour_counts(samples)
+    colour_counts(samples)
     monkeypatch.undo()
     return cuts
 
@@ -640,7 +675,7 @@ class TestImageDescriptor:
     @pytest.mark.parametrize("case", list(COLOUR_COUNT_CASES))
     def test_colour_counts_are_per_pixel_counts(self, case):
         samples = COLOUR_COUNT_CASES[case]
-        assert _colour_counts(samples) == pixel_counts(samples)
+        assert colour_counts(samples) == pixel_counts(samples)
 
     @pytest.mark.parametrize("case", list(TILE_CASES))
     def test_tile_counts_are_per_pixel_counts(self, colibri, monkeypatch, case):
@@ -709,7 +744,7 @@ class TestImageDescriptor:
         samples = (a * 8 + b * 8) * (1024 * 1024 // 16)
         tracemalloc.start()
         try:
-            counts = _colour_counts(samples)
+            counts = colour_counts(samples)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -719,7 +754,7 @@ class TestImageDescriptor:
     @settings(max_examples=100, deadline=None)
     @given(grid=palette_grids())
     def test_palette_images_count_and_describe_per_pixel(self, colibri, grid):
-        assert _colour_counts(grid.samples) == pixel_counts(grid.samples)
+        assert colour_counts(grid.samples) == pixel_counts(grid.samples)
         assert bits(image_descriptor(colibri, grid)) == bits(
             scan_descriptor(colibri, grid, DEFAULT_GATE)
         )
@@ -942,6 +977,38 @@ class TestKernelZoneRule:
             assert masses == list(ring.memberships(hue_of(rgb)).values()), rgb
             if rgb in knots:
                 assert set(masses) <= {0.0, 1.0}, rgb
+
+
+class TestBlocks:
+    """The one block geometry that image_descriptor and label count in."""
+
+    @given(pixels=st.integers(0, 1 << 24))
+    @example(pixels=0)
+    @example(pixels=15)
+    @example(pixels=16 * 16 * 16)
+    @example(pixels=16 * 16 * 16 + 1)
+    @example(pixels=16 * 950 + 15)
+    def test_sizes_tile_the_samples(self, pixels):
+        sizes = _block_sizes(pixels)
+        tile_bytes = 3 * _TILE
+        tail = 3 * (pixels % _TILE)
+        whole = sizes[:-1] if tail else sizes
+        assert sum(sizes) == 3 * pixels
+        assert not tail or sizes[-1] == tail
+        # ceil(ceil(pixels / 16) / 16) tiles a block; the last may be shorter.
+        step = -(-(-(-pixels // _TILE)) // _BLOCKS) * tile_bytes
+        assert whole[:-1] == [step] * (len(whole) - 1)
+        assert all(0 < size <= step and size % tile_bytes == 0 for size in whole)
+        assert len(whole) <= _BLOCKS
+        assert not sizes or sizes[0] == max(sizes)
+
+    @pytest.mark.parametrize("pixels", [1, 15, 16, 17, 4096, 15215])
+    def test_sample_blocks_are_views_of_the_samples(self, pixels):
+        samples = random.Random(pixels).randbytes(3 * pixels)
+        blocks = list(_sample_blocks(samples))
+        assert [len(block) for block in blocks] == _block_sizes(pixels)
+        assert all(block.obj is samples for block in blocks)
+        assert b"".join(blocks) == samples
 
 
 class TestDominantLabels:

@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,18 +20,25 @@ from fuzzyhue import (
     BoundarySpec,
     CircularTrapezoid,
     HuePartition,
+    ImageFormatError,
     builtin_colibri,
     classify,
     cli,
+    dominant_labels,
     dump_partition,
     export_metrics_csv,
     from_boundaries,
+    image_descriptor,
     metrics_table,
+    read_image,
     wrap,
 )
+from fuzzyhue.classify import DEFAULT_GATE, AchromaticGate, _block_sizes, _describe
 from fuzzyhue.cli import cli_main
+from fuzzyhue.formats import _READ_AHEAD, _image_blocks
 from fuzzyhue.render import PlotConfig, render_memberships, render_spectrum
 from conftest import make_p6, random_boundary_specs
+from test_classify import bits, palette_grids, ramp_row, traced_block_counts
 from test_metrics import narrow_defect
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -52,7 +61,9 @@ MODEL_COMMANDS = [
     ("report",),
 ]
 GREEN_P6 = make_p6(2, 2, [(85, 255, 0)] * 4)
-DEEP_JSON = b"[" * 3000 + b"\n"
+# Deep enough that json.loads raises RecursionError on CPython 3.10 to 3.13.
+# 3.13 decodes 3,000 levels, and so reports a decode error instead.
+DEEP_JSON = b"[" * 100_000 + b"\n"
 
 
 def fill_paths(directory, argv):
@@ -187,6 +198,280 @@ class TestLabelCommand:
         code, _, err = run(capsys, "label", str(tmp_path / "none.ppm"))
         assert code == 2
         assert "error" in err
+
+
+def p6(width, height, samples):
+    return b"P6\n%d %d\n255\n" % (width, height) + samples
+
+
+def p3(width, height, samples):
+    return b"P3\n%d %d\n255\n" % (width, height) + b" ".join(b"%d" % v for v in samples)
+
+
+def label_lines(descriptor):
+    """What label --top-k 10 prints for a descriptor."""
+    return "".join(f"{label} {mass:.6f}\n" for label, mass in dominant_labels(descriptor, 10))
+
+
+def fifo_of(path, data):
+    """A named pipe at path, and a thread that writes data into it once."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=Path(path).write_bytes, args=(data,), daemon=True)
+    writer.start()
+    return writer
+
+
+def block_cases():
+    """(width, height, samples, pixels counted past the tile-counted blocks)."""
+    rng = random.Random(32)
+    green, yellow, gray = bytes((85, 255, 0)), bytes((240, 184, 0)), bytes((128, 128, 128))
+    cases = {}
+    for tail in range(1, 16):
+        # 64 copies of one tile, then the tail: a new colour, then the tile's.
+        row = (green * 8 + yellow * 8) * 64 + gray + (green + yellow) * 7
+        cases[f"tail of {tail}"] = (1024 + tail, 1, row[: 3 * (1024 + tail)], tail)
+    cases["one pixel"] = (1, 1, gray, 1)
+    cases["fewer pixels than a tile"] = (3, 5, rng.randbytes(45), 15)
+    # 160x95: 950 tiles in 15 blocks of 60 and a last, shorter block of 50.
+    flat = ramp_row(160, 8, 0.7) * 95
+    noise = rng.randbytes(len(flat))
+    cut = 8 * 60 * 48
+    cases["never switching, a short last block"] = (160, 95, flat, 0)
+    cases["switching in the first block"] = (160, 95, noise, 160 * 95 - 60 * 16)
+    cases["switching in a middle block"] = (160, 95, flat[:cut] + noise[cut:], 160 * 95 - 9 * 960)
+    # 168x95: 997 tiles in 15 blocks of 63 and one of 52, then 8 pixels.
+    # A row is 10.5 tiles, so the ramp's tiles repeat every other row.
+    flat = ramp_row(168, 8, 0.7) * 95
+    noise = rng.randbytes(len(flat))
+    cut = 8 * 63 * 48
+    cases["switching in a middle block, with a tail"] = (
+        168, 95, flat[:cut] + noise[cut:], 168 * 95 - 9 * 63 * 16
+    )
+    return cases
+
+
+BLOCK_CASES = block_cases()
+
+
+class TestLabelByBlocks:
+    """label reads and counts a raster block by block; its descriptor and
+    its output are image_descriptor(read_image(path))'s, bit for bit."""
+
+    def expect_same(self, tmp_path, path, gate=DEFAULT_GATE, make_path=None):
+        """Assert that path's blocks describe it as read_image's grid does,
+        and that label prints that; (pixels counted past the tile-counted
+        blocks, blocks from a read of the raster, not a cut of the samples)."""
+        expected = image_descriptor(builtin_colibri(), read_image(path), gate)
+        with open(path, "rb") as file:
+            pixels, blocks = _image_blocks(file)
+            got = _describe(builtin_colibri(), pixels, blocks, gate)
+        assert bits(got) == bits(expected)
+        argv = ["label", str(path), "--top-k", "10"]
+        argv += ["--s-min", repr(gate.s_min), "--v-min", repr(gate.v_min)]
+        assert run_on_files(tmp_path, argv, image=path.read_bytes()) == (
+            0, label_lines(expected), ""
+        )
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    @pytest.mark.parametrize("kind", ["P6", "P3"])
+    def test_cases(self, tmp_path, monkeypatch, case, kind):
+        width, height, samples, past_tiles = BLOCK_CASES[case]
+        path = tmp_path / "case.ppm"
+        path.write_bytes((p6 if kind == "P6" else p3)(width, height, samples))
+        self.expect_same(tmp_path, path)
+        with open(path, "rb") as file:
+            _, blocks = _image_blocks(file)
+            _, sizes = traced_block_counts(monkeypatch, blocks)
+        assert sizes[0] == past_tiles
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    @pytest.mark.parametrize("case", ["switching in a middle block, with a tail", "tail of 7"])
+    def test_pipe_is_read_whole_and_cut_into_the_same_blocks(self, tmp_path, case):
+        width, height, samples, _ = BLOCK_CASES[case]
+        data = p6(width, height, samples)
+        regular = tmp_path / "image.ppm"
+        regular.write_bytes(data)
+        expected = image_descriptor(builtin_colibri(), read_image(regular))
+        writer = fifo_of(tmp_path / "blocks.fifo", data)
+        with open(tmp_path / "blocks.fifo", "rb") as file:
+            pixels, blocks = _image_blocks(file)
+            got = _describe(builtin_colibri(), pixels, blocks, DEFAULT_GATE)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert bits(got) == bits(expected)
+        writer = fifo_of(tmp_path / "label.fifo", data)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["label", str(tmp_path / "label.fifo"), "--top-k", "10"])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert (code, out.getvalue()) == (0, label_lines(expected))
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        grid=palette_grids(),
+        kind=st.sampled_from(["P6", "P3"]),
+        gate=st.sampled_from([DEFAULT_GATE, AchromaticGate(0.0, 0.0), AchromaticGate(0.4, 0.3)]),
+    )
+    def test_random_images(self, tmp_path, grid, kind, gate):
+        path = tmp_path / "random.ppm"
+        path.write_bytes((p6 if kind == "P6" else p3)(grid.width, grid.height, grid.samples))
+        self.expect_same(tmp_path, path, gate)
+
+
+class RecordedReads:
+    """A binary file whose read and readinto calls are recorded."""
+
+    def __init__(self, file):
+        self.file = file
+        self.calls = []
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def seek(self, offset):
+        return self.file.seek(offset)
+
+    def read(self, *size):
+        self.calls.append(("read", *size))
+        return self.file.read(*size)
+
+    def readinto(self, buffer):
+        self.calls.append(("readinto", len(buffer)))
+        return self.file.readinto(buffer)
+
+
+class TestLabelReads:
+    def test_regular_p6_is_read_block_by_block_into_one_buffer(self, tmp_path):
+        width, height, samples, _ = BLOCK_CASES["switching in a middle block, with a tail"]
+        path = tmp_path / "image.ppm"
+        path.write_bytes(p6(width, height, samples) + b"trailing bytes")
+        with open(path, "rb") as file:
+            recorded = RecordedReads(file)
+            pixels, blocks = _image_blocks(recorded)
+            assert recorded.calls == [("read", _READ_AHEAD)]
+            views = list(blocks)
+        sizes = _block_sizes(width * height)
+        assert recorded.calls[1:] == [("readinto", size) for size in sizes]
+        assert [len(view) for view in views] == sizes
+        assert len({id(view.obj) for view in views}) == 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            p3(3, 5, bytes(range(45))),
+            b"P6\n#" + b"c" * _READ_AHEAD + b"\n3 5\n255\n" + bytes(range(45)),
+        ],
+        ids=["P3", "header longer than the read-ahead"],
+    )
+    def test_anything_else_is_read_whole(self, tmp_path, data):
+        path = tmp_path / "image.ppm"
+        path.write_bytes(data)
+        with open(path, "rb") as file:
+            recorded = RecordedReads(file)
+            pixels, blocks = _image_blocks(recorded)
+            assert b"".join(blocks) == bytes(range(45))
+        assert recorded.calls == [("read", _READ_AHEAD), ("read",)]
+
+    def test_raster_that_gets_shorter_is_truncated(self, tmp_path):
+        width, height, samples, _ = BLOCK_CASES["never switching, a short last block"]
+        data = p6(width, height, samples)
+        path = tmp_path / "image.ppm"
+        path.write_bytes(data)
+        with open(path, "rb") as file:
+            _, blocks = _image_blocks(file)
+            os.truncate(path, len(data) - 1000)
+            with pytest.raises(ImageFormatError) as caught:
+                list(blocks)
+        count = len(samples)
+        assert str(caught.value) == (
+            f"truncated P6 pixel data: expected {count} bytes, got {count - 1000}"
+        )
+
+    def test_label_reports_a_raster_that_gets_shorter_and_closes_it(self, tmp_path, monkeypatch):
+        width, height, samples, _ = BLOCK_CASES["switching in the first block"]
+        path = tmp_path / "image.ppm"
+        path.write_bytes(p6(width, height, samples))
+        files = []
+        load_model = cli._load_model
+
+        def image_blocks(file):
+            files.append(file)
+            return _image_blocks(file)
+
+        def shorten_then_load(args):
+            os.truncate(path, len(path.read_bytes()) - 1000)
+            return load_model(args)
+
+        monkeypatch.setattr(cli, "_image_blocks", image_blocks)
+        monkeypatch.setattr(cli, "_load_model", shorten_then_load)
+        code, out, err = run_on_files(tmp_path, ["label", str(path)], image=path.read_bytes())
+        count = len(samples)
+        assert (code, out) == (2, "")
+        assert err == f"error: truncated P6 pixel data: expected {count} bytes, got {count - 1000}\n"
+        assert files[0].closed
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            make_p6(4, 4, [(10, 200, 30)] * 16)[:-5],
+            b"P6 100000 100000 255\nabc",
+            b"P6 4 4\n",
+            b"P6 4 4 255x" + bytes(48),
+            b"P6 4 4 65535\n" + bytes(96),
+            b"GIF89a",
+            b"P3 2 1 255 1 2 3 4 5",
+        ],
+        ids=["truncated", "size past the end", "no maxval", "no separator", "wide maxval",
+             "not a PPM", "P3 truncated"],
+    )
+    @pytest.mark.parametrize("model", [b"[" * 10, b'{"period": 360}', None])
+    def test_image_error_comes_before_the_model_error(self, tmp_path, image, model):
+        path = tmp_path / "image.ppm"
+        path.write_bytes(image)
+        with pytest.raises(ImageFormatError) as caught:
+            read_image(path)
+        argv = ["label", "{image}"]
+        if model is None:
+            argv += ["--model", str(tmp_path / "missing.json")]
+        code, out, err = run_on_files(tmp_path, argv, model=model, image=image)
+        assert (code, out, err) == (2, "", f"error: {caught.value}\n")
+
+    @pytest.mark.parametrize("kind", ["flat", "palette"])
+    def test_traced_peak_stays_far_below_the_raster(self, tmp_path, kind):
+        # A 1024x1024 posterized ramp with gray bands, counted by tiles
+        # throughout; and four colours at random, so that every tile is new
+        # and the count turns to pixels after the first block, whose 4,096
+        # distinct tiles then take most of the peak. Either raster is 3 MB,
+        # and a whole-raster read peaked above it.
+        side = 1024
+        if kind == "flat":
+            rows = [ramp_row(side, 48, value) for value in (0.3, 0.55, 0.8, 1.0)]
+            gray = bytes([128]) * (3 * side)
+            raster = b"".join(gray if y % 8 < 3 else rows[y * 4 // side] for y in range(side))
+            bound = 1_000_000
+        else:
+            rng = random.Random(3)
+            colours = [bytes(c) for c in ((200, 40, 0), (30, 90, 220), (128, 128, 128), (0, 255, 0))]
+            raster = b"".join(rng.choices(colours, k=side * side))
+            bound = 1_500_000
+        path = tmp_path / f"{kind}.ppm"
+        path.write_bytes(p6(side, side, raster))
+        del raster
+        argv = ["label", str(path), "--top-k", "10"]
+        with contextlib.redirect_stdout(io.StringIO()) as first:
+            cli_main(argv)  # loads the lazy tables and modules
+        with contextlib.redirect_stdout(io.StringIO()) as traced:
+            tracemalloc.start()
+            try:
+                code = cli_main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (code, traced.getvalue()) == (0, first.getvalue())
+        assert peak < bound
 
 
 class TestPlotCommand:
@@ -543,10 +828,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=lambda argv: argv[0])
     def test_deeply_nested_model_is_data_error(self, tmp_path, argv):
-        # json.loads raises RecursionError on 3,000 nested arrays.
+        # json.loads raises RecursionError on 100,000 nested arrays.
         code, out, err = run_on_files(tmp_path, argv, model=DEEP_JSON)
         assert (code, out) == (2, "")
         assert err == "error: invalid JSON: arrays or objects nested too deeply\n"
+
+    @pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=lambda argv: argv[0])
+    def test_3000_levels_are_one_invalid_json_line(self, tmp_path, argv):
+        # A RecursionError up to 3.12, a decode error of the unclosed arrays
+        # on 3.13: either way one line, exit 2.
+        code, out, err = run_on_files(tmp_path, argv, model=b"[" * 3000 + b"\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
