@@ -13,7 +13,7 @@ to one across the zone, and every crossing sits exactly at 0.5/0.5).
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 from ._value import Value, _number
@@ -98,8 +98,8 @@ class HuePartition(Value):
     ``TOL / 2`` before the previous one ends starts where it ends instead.
     Immutable; every query is a pure function.
     The trapezoids are the reference for :func:`~fuzzyhue.metrics.check` and
-    the metrics. Lookups read a zone table built from the same knots on
-    first use: inside boundary k's zone the membership moves linearly from
+    the metrics. Lookups read a zone table, built with them from the same
+    knots: inside boundary k's zone the membership moves linearly from
     category k to k+1, and outside every zone one category has membership 1.
     """
 
@@ -130,9 +130,15 @@ class HuePartition(Value):
                     f"the circle, got {cur} after {prev}"
                 )
 
-        # Zone k runs from starts[k] to ends[k], around boundaries[k].
-        starts = [b.position - b.width / 2.0 for b in boundaries]
-        ends = [b.position + b.width / 2.0 for b in boundaries]
+        # Zone k runs from cs[k] to ds[k], around boundaries[k], and the core
+        # of category k is the arc from ds[k - 1] to cs[k]. The zone table
+        # cuts the circle into those cores and zones. On the piece
+        # (k, j, lo, w), category k has 1 - t and its successor j has
+        # t = gap(lo, hue) / w, bitwise the rise of j's trapezoid; a core has
+        # w == 0 and t 0.
+        ds = [wrap(b.position + b.width / 2.0) for b in boundaries]
+        cs = []
+        pieces = []
         for i, name in enumerate(names):
             left, right = boundaries[i - 1], boundaries[i]
             spacing = gap(left.position, right.position)
@@ -147,24 +153,36 @@ class HuePartition(Value):
                     f"support of category {name!r} would cover the whole circle "
                     f"({span:.6g} degrees)"
                 )
-            # The core is the arc from b to c. Where the zones around it touch
-            # or overlap within the tolerance, the rounded c can land just
-            # before b, whatever the sign of the core formula, and the arc
-            # then differs from it by nearly a turn: there is no core, and the
-            # earlier zone keeps the overlap, so the later one starts at b.
-            b, c = wrap(ends[i - 1]), wrap(starts[i])
-            if abs(gap(b, c) - core) >= PERIOD / 2.0:
-                starts[i] = b
+            # Where the zones around the core touch or overlap within the
+            # tolerance, the rounded c can land just before b, whatever the
+            # sign of the core formula, and the arc then differs from it by
+            # nearly a turn: there is no core, and the earlier zone keeps the
+            # overlap, so the later one starts at b.
+            b, c = ds[i - 1], wrap(right.position - right.width / 2.0)
+            j = (i + 1) % n
+            if c != b and abs(gap(b, c) - core) < PERIOD / 2.0:
+                pieces.append((b, (i, j, 0.0, 0.0)))
+            else:
+                c = b
+            cs.append(c)
+            pieces.append((c, (i, j, c, gap(c, ds[i]))))
         sets = []
         for i, name in enumerate(names):
             try:
-                sets.append(CircularTrapezoid(starts[i - 1], ends[i - 1], starts[i], ends[i]))
+                sets.append(CircularTrapezoid(cs[i - 1], ds[i - 1], cs[i], ds[i]))
             except ValueError as exc:
                 # A zone narrower than the spacing of floats near its crossing
                 # collapses a shoulder to zero width, and one narrower than the
                 # overlap cut off its start ends before it starts.
                 raise PartitionError(f"category {name!r}: {exc}") from None
         fields["sets"] = tuple(sets)
+        # Every piece is nonempty and the pieces go once round the circle,
+        # so the starts are distinct. A hue below the first start is on the
+        # last piece.
+        fields["_zones"] = tuple(zip(*sorted(pieces)))
+        # Membership 0.0 for every name: a template that lookups copy and
+        # never hand out.
+        fields["_zeros"] = dict.fromkeys(names, 0.0)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -177,36 +195,6 @@ class HuePartition(Value):
 
     def fuzzy_set(self, name: str) -> CircularTrapezoid:
         return self.sets[self.index(name)]
-
-    @cached_property
-    def _zones(self) -> tuple[tuple[float, ...], tuple[tuple[int, int, float, float], ...]]:
-        """``(starts, zones)``: the ascending starts of the pieces of the
-        circle, each a category's core or a boundary's zone, and the piece
-        ``(k, j, lo, w)`` at each. On it category k has ``1 - t`` and its
-        successor j has ``t = gap(lo, hue) / w``, bitwise the rise of j's
-        trapezoid; a core has ``w == 0`` and ``t`` 0. A category without
-        a core (``c == b``) has the zone after it start where the zone
-        before it ends. A hue below the first start is on the last piece.
-        """
-        sets = self.sets
-        n = len(sets)
-        pieces = []
-        for k, t in enumerate(sets):
-            j = (k + 1) % n
-            if t.c != t.b:
-                pieces.append((t.b, (k, j, 0.0, 0.0)))
-            lo = sets[j].a
-            pieces.append((t.c, (k, j, lo, gap(lo, t.d))))
-        # Every piece is nonempty and the pieces go once round the circle,
-        # so the starts are distinct.
-        starts, zones = zip(*sorted(pieces))
-        return starts, zones
-
-    @cached_property
-    def _zeros(self) -> dict[str, float]:
-        """Membership 0.0 for every name, in ring order: a template that
-        lookups copy and never hand out."""
-        return dict.fromkeys(self.names, 0.0)
 
     def _split(self, hue: float) -> tuple[int, int, float]:
         """``(k, j, t)`` at ``hue``: category k has membership ``1 - t``, its

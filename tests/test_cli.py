@@ -462,7 +462,7 @@ class TestLabelReads:
         del raster
         argv = ["label", str(path), "--top-k", "10"]
         with contextlib.redirect_stdout(io.StringIO()) as first:
-            cli_main(argv)  # loads the lazy tables and modules
+            cli_main(argv)  # builds the gate's table and loads the lazy modules
         with contextlib.redirect_stdout(io.StringIO()) as traced:
             tracemalloc.start()
             try:

@@ -517,7 +517,7 @@ def test_label_memory_stays_near_the_raster_size(tmp_path, colibri):
     raster = bytes([200, 40, 0, 30, 90, 220]) * (side * side // 2)
     path = tmp_path / "two-colour.ppm"
     path.write_bytes(b"P6\n%d %d\n255\n" % (side, side) + raster)
-    image_descriptor(colibri, PixelGrid(1, 1, [(0, 0, 0)]))  # build lazy tables
+    image_descriptor(colibri, PixelGrid(1, 1, [(0, 0, 0)]))  # build the gate's table
     tracemalloc.start()
     try:
         descriptor = image_descriptor(colibri, read_image(path))

@@ -22,7 +22,8 @@ from fuzzyhue import (
     wideness,
     wrap,
 )
-from fuzzyhue.circle import TOL
+from fuzzyhue.circle import TOL, gap
+from fuzzyhue.metrics import _zone_measure
 from conftest import fall_tolerance, random_boundary_specs, ulp_ring, zone_rule
 
 GOLDEN_METRICS = {
@@ -284,14 +285,13 @@ class TestSegmentTable:
         assert_matches_scan(colibri, [hue], 2 * math.ulp(1.0))
         assert colibri.category_of(hue) == min(pair, key=colibri.index)
 
-    def test_built_lazily_without_evaluations(self, monkeypatch):
-        p = from_boundaries(golden_specs(), RING)
-        assert "_zones" not in vars(p)
-
+    def test_built_at_construction_without_evaluations(self, monkeypatch):
         def refuse(self, hue):
             raise AssertionError("the table must not evaluate memberships")
 
-        monkeypatch.setattr(type(p.sets[0]), "membership", refuse)
+        monkeypatch.setattr(CircularTrapezoid, "membership", refuse)
+        p = from_boundaries(golden_specs(), RING)
+        assert "_zones" in vars(p)
         starts, zones = p._zones
         # Nine zones and a core for each of the six categories that have one.
         assert len(starts) == len(zones) == 15
@@ -482,6 +482,21 @@ FOUND_RING = [(0.002683402666735757, 4.681106152712866e-09),
               (0.0026834087973144523, 9.034864852162525e-09), (180.0, 10.0)]
 
 
+def zone_table_from_trapezoids(partition):
+    """The zone table read back from the trapezoids' knots: a core piece at
+    b where c != b, and a zone piece at c from the next trapezoid's a over
+    its gap to d."""
+    sets = partition.sets
+    pieces = []
+    for k, t in enumerate(sets):
+        j = (k + 1) % len(sets)
+        if t.c != t.b:
+            pieces.append((t.b, (k, j, 0.0, 0.0)))
+        lo = sets[j].a
+        pieces.append((t.c, (k, j, lo, gap(lo, t.d))))
+    return tuple(zip(*sorted(pieces)))
+
+
 class TestAcceptedRingsPassCheck:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -498,6 +513,12 @@ class TestAcceptedRingsPassCheck:
             return
         results = check(p)
         assert all(r.ok for r in results), results
+        # The table built with the trapezoids is the one their knots give,
+        # and each zone's width is its successor's rise and its measure.
+        _, zones = p._zones
+        assert p._zones == zone_table_from_trapezoids(p) and all(
+            w == p.sets[j]._rise == _zone_measure(p, k) for k, j, _, w in zones if w
+        )
 
     def test_builtin_turned_by_a_decimal_passes_check(self):
         # Turned by -185.6763, the rounded zones around lightblue overlap by

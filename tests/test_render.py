@@ -53,6 +53,12 @@ def rotated_builtin():
     return builtin_colibri().rotated(30)
 
 
+def decimal_rotated_builtin():
+    # Rounded, lightblue's core is -2.8e-14 here, so the zone after it
+    # starts where the zone before it ends.
+    return builtin_colibri().rotated(-185.6763)
+
+
 # Sixteen boundaries, each written out; the first zone straddles 0.
 SIXTEEN_BOUNDARIES = (
     (1.5, 8.0), (22.0, 3.0), (44.25, 12.5), (66.0, 5.0),
@@ -310,7 +316,10 @@ def test_markup_in_category_names_is_escaped(render):
 # were recorded before the figures shared one frame. The rest were recorded
 # while every strip's colour still came from the checked hsv_to_rgb: 36,000
 # samples at the finest step, the coarsest step on the narrowest figure, no
-# labels, and a ring of sixteen categories.
+# labels, and a ring of sixteen categories. That of the builtin ring turned
+# by -185.6763, where a zone is moved to start at the end of the one before
+# it, was recorded while the lookups read a zone table derived from the
+# trapezoids.
 FINE_CONFIG = PlotConfig(sample_step=0.01)
 COARSE_NARROW_CONFIG = PlotConfig(width_px=200, sample_step=5.0)
 UNLABELLED_CONFIG = PlotConfig(show_labels=False)
@@ -363,6 +372,9 @@ SVG_DIGESTS = {
     (sixteen_category_partition, render_spectrum, PlotConfig()): (
         "66db5f0afe388e4c2140fd18f4ebb81b6bc54d8cb9ee951890fd2d5b2b697d8d"
     ),
+    (decimal_rotated_builtin, render_memberships, PlotConfig()): (
+        "5b4b6d65295bea9bab891371fdef92e40d4683d5da8062bad20ee72ecc3bdfd0"
+    ),
 }
 
 
@@ -386,6 +398,7 @@ SVG_DIGESTS = {
         "spectrum-unlabelled",
         "memberships-sixteen-category",
         "spectrum-sixteen-category",
+        "memberships-rotated-decimal-default",
     ],
 )
 def test_builtin_svg_bytes_are_pinned(build, render, cfg):

@@ -163,7 +163,6 @@ def test_derived_state_is_not_compared_or_shown():
     t = CircularTrapezoid(10.0, 20.0, 30.0, 40.0)
     assert (t._rise, t._core_end, t._span) == (10.0, 20.0, 30.0)
     p = HuePartition(["a", "b"], TWO_SPECS)
-    p.memberships(0.0)  # builds the cached zone table
     assert p == HuePartition(("a", "b"), TWO_SPECS)
     assert "_zones" in vars(p) and "sets" not in repr(p)
     twin = pickle.loads(pickle.dumps(p))
