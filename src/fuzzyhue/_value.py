@@ -54,8 +54,10 @@ class Value:
     ``__setattr__`` refuses. Equality holds only between instances of the same
     class with equal field tuples, the hash is that of the field tuple, and
     the repr is ``QualName(field=value, ...)``. Other attributes, such as
-    derived state, take no part in any of these. Instances keep their
-    ``__dict__``, so they pickle and copy as usual.
+    derived state, take no part in any of these. A pickle or copy holds the
+    fields alone, by name. Loading passes them to ``__init__``, which takes
+    them positionally in ``__match_args__`` order: it rebuilds the derived
+    state, and refuses a field out of its domain as it would from a caller.
     """
 
     __slots__ = ()
@@ -75,6 +77,14 @@ class Value:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({shown})"
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__match_args__}
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickle of the whole instance dict, as older versions made,
+        # holds the fields too and loads the same way.
+        self.__init__(*(state[name] for name in self.__match_args__))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

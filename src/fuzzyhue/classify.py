@@ -375,11 +375,8 @@ def _describe(
     # without a float object per mass. Gray pixels are counted apart: a
     # category may be named like the achromatic label.
     terms = [array("d") for _ in partition.names]
-    # The zone table's pieces, each with its two categories' appends and
-    # shifted by one place: zones[i - 1] is pieces[i], so bisect_right's
-    # index needs no - 1, and a hue below the first start (index 0) reads
-    # the last piece.
-    pieces = [(terms[k].append, terms[j].append, lo, w) for k, j, lo, w in zones[-1:] + zones]
+    # The zone table's pieces, each with its two categories' appends.
+    pieces = [(terms[k].append, terms[j].append, lo, w) for k, j, lo, w in zones]
     gray = 0
     unit = _UNIT
     gray_from = gate._gray_from
@@ -433,12 +430,11 @@ def _describe(
             maxc = unit[b]
             rangec = maxc - unit[r]
             hue = (4.0 + (maxc - unit[g]) / rangec - 1.0) / 6.0 * 360.0
-        # HuePartition._split inline, circle.gap(base, hue) too: k gets 1 - t
-        # and j gets t, or 1 on a core. A count of 1 skips the multiply,
-        # which is exact anyway.
+        # HuePartition._split inline: k gets 1 - t and j gets t, or 1 on a
+        # core. A count of 1 skips the multiply, which is exact anyway.
         k_append, j_append, base, w = pieces[bisect_right(starts, hue)]
         if w:
-            t = (hue - base if hue >= base else hue + (360.0 - base)) / w
+            t = (hue - base) / w
             if count == 1:
                 j_append(t)
                 k_append(1.0 - t)

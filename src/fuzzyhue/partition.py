@@ -101,6 +101,9 @@ class HuePartition(Value):
     the metrics. Lookups read a zone table, built with them from the same
     knots: inside boundary k's zone the membership moves linearly from
     category k to k+1, and outside every zone one category has membership 1.
+    The table also holds the piece that wraps through 0 first, with its
+    start one turn down, so no lookup tests for the seam. A pickle holds the
+    two fields alone, and loading one rebuilds the rest.
     """
 
     __match_args__ = ("names", "boundaries")
@@ -177,9 +180,12 @@ class HuePartition(Value):
                 raise PartitionError(f"category {name!r}: {exc}") from None
         fields["sets"] = tuple(sets)
         # Every piece is nonempty and the pieces go once round the circle,
-        # so the starts are distinct. A hue below the first start is on the
-        # last piece.
-        fields["_zones"] = tuple(zip(*sorted(pieces)))
+        # so the starts are distinct. zones[i] starts at starts[i - 1], and
+        # zones[0], for a hue below every start, is the last piece, which
+        # wraps through 0, with its start one turn down.
+        starts, zones = zip(*sorted(pieces))
+        k, j, lo, w = zones[-1]
+        fields["_zones"] = (starts, ((k, j, lo - PERIOD, w),) + zones)
         # Membership 0.0 for every name: a template that lookups copy and
         # never hand out.
         fields["_zeros"] = dict.fromkeys(names, 0.0)
@@ -202,15 +208,15 @@ class HuePartition(Value):
 
         Lookups evaluate at ``wrap(hue)``: for a hue far outside the circle,
         such as 1e20, ``hue - lo`` rounds ``lo`` away, while the wrapped hue
-        is exact. ``t`` is ``gap(lo, wrapped) / w``, with the gap inline: the
-        call would slow every lookup.
+        is exact. ``t`` is ``(wrapped - lo) / w``, bitwise
+        ``gap(lo, wrapped) / w``: the piece read never starts past the hue, as
+        the one that wraps through 0 is also held with ``lo`` one turn down,
+        and ``wrapped - (lo - 360)`` rounds as ``wrapped + (360 - lo)``.
         """
         wrapped = wrap(hue)
         starts, zones = self._zones
-        k, j, lo, w = zones[bisect_right(starts, wrapped) - 1]
-        if not w:
-            return k, j, 0.0
-        return k, j, (wrapped - lo if wrapped >= lo else wrapped + (PERIOD - lo)) / w
+        k, j, lo, w = zones[bisect_right(starts, wrapped)]
+        return k, j, (wrapped - lo) / w if w else 0.0
 
     def memberships(self, hue: float) -> dict[str, float]:
         """All category memberships at ``hue``, in ring order.

@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -293,8 +294,11 @@ class TestSegmentTable:
         p = from_boundaries(golden_specs(), RING)
         assert "_zones" in vars(p)
         starts, zones = p._zones
-        # Nine zones and a core for each of the six categories that have one.
-        assert len(starts) == len(zones) == 15
+        # Nine zones and a core for each of the six categories that have one,
+        # and the piece that wraps through 0 held first again, one turn down.
+        assert len(starts) == 15 and len(zones) == 16
+        k, j, lo, w = zones[-1]
+        assert zones[0] == (k, j, lo - 360.0, w)
         assert list(starts) == sorted(set(starts))
 
     @pytest.mark.parametrize("hue", [math.nan, math.inf, -math.inf])
@@ -485,7 +489,7 @@ FOUND_RING = [(0.002683402666735757, 4.681106152712866e-09),
 def zone_table_from_trapezoids(partition):
     """The zone table read back from the trapezoids' knots: a core piece at
     b where c != b, and a zone piece at c from the next trapezoid's a over
-    its gap to d."""
+    its gap to d. The last piece is also held first, its lo one turn down."""
     sets = partition.sets
     pieces = []
     for k, t in enumerate(sets):
@@ -494,18 +498,33 @@ def zone_table_from_trapezoids(partition):
             pieces.append((t.b, (k, j, 0.0, 0.0)))
         lo = sets[j].a
         pieces.append((t.c, (k, j, lo, gap(lo, t.d))))
-    return tuple(zip(*sorted(pieces)))
+    starts, zones = zip(*sorted(pieces))
+    k, j, lo, w = zones[-1]
+    return starts, ((k, j, lo - 360.0, w),) + zones
+
+
+def split_by_gap(table, hue):
+    """``(k, j, t)`` at ``hue`` from the table's pieces after the first, a
+    hue below every start on the last, with ``t = gap(lo, wrap(hue)) / w``:
+    the seam decided per hue."""
+    starts, zones = table
+    wrapped = wrap(hue)
+    k, j, lo, w = zones[1:][bisect_right(starts, wrapped) - 1]
+    return k, j, gap(lo, wrapped) / w if w else 0.0
+
+
+ACCEPTED_RINGS = given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(2, 16),
+    family=st.sampled_from(
+        [random_ring, ulp_ring, touching_ring, seam_ring, sub_tol_ring, decimal_rotation]
+    ),
+)
 
 
 class TestAcceptedRingsPassCheck:
     @settings(max_examples=400, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        count=st.integers(2, 16),
-        family=st.sampled_from(
-            [random_ring, ulp_ring, touching_ring, seam_ring, sub_tol_ring, decimal_rotation]
-        ),
-    )
+    @ACCEPTED_RINGS
     def test_every_accepted_ring_passes_check(self, seed, count, family):
         try:
             p = family(random.Random(seed), count)
@@ -517,8 +536,29 @@ class TestAcceptedRingsPassCheck:
         # and each zone's width is its successor's rise and its measure.
         _, zones = p._zones
         assert p._zones == zone_table_from_trapezoids(p) and all(
-            w == p.sets[j]._rise == _zone_measure(p, k) for k, j, _, w in zones if w
+            w == p.sets[j]._rise == _zone_measure(p, k) for k, j, _, w in zones[1:] if w
         )
+
+    @settings(max_examples=400, deadline=None)
+    @ACCEPTED_RINGS
+    def test_lookups_need_no_seam_test(self, seed, count, family):
+        # Read with no seam test, the table gives bitwise the t that gap()
+        # gives on the trapezoids' table: at every start, an ulp either side
+        # of it, both ends of the circle and random hues.
+        rng = random.Random(seed)
+        try:
+            p = family(rng, count)
+        except PartitionError:
+            return
+        table = zone_table_from_trapezoids(p)
+        starts, _ = table
+        hues = [0.0, math.nextafter(360.0, 0.0)] + [rng.uniform(0.0, 360.0) for _ in range(50)]
+        for start in starts:
+            hues += [start, math.nextafter(start, -math.inf), math.nextafter(start, math.inf)]
+        for hue in hues:
+            k, j, t = p._split(hue)
+            want_k, want_j, want_t = split_by_gap(table, hue)
+            assert (k, j, t.hex()) == (want_k, want_j, want_t.hex()), hue
 
     def test_builtin_turned_by_a_decimal_passes_check(self):
         # Turned by -185.6763, the rounded zones around lightblue overlap by

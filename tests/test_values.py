@@ -23,11 +23,13 @@ from fuzzyhue import (
     FuzzyColorDescriptor,
     HsvColor,
     HuePartition,
+    InconsistentCoreError,
     PixelGrid,
     PlotConfig,
     builtin_colibri,
     classify_color,
 )
+from fuzzyhue._value import Value
 
 TWO_SPECS = (BoundarySpec(10.0, 5.0), BoundarySpec(200.0, 8.0))
 
@@ -135,6 +137,9 @@ class TestValueTypes:
         "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"]
     )
     def test_round_trip(self, sample, match_args, text, clone):
+        # Pickles and copies carry the fields alone, by name.
+        state = sample.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[2]
+        assert state == dict(zip(match_args, fields_of(sample)))
         twin = clone(sample)
         assert twin is not sample and type(twin) is type(sample)
         assert twin == sample and fields_of(twin) == fields_of(sample)
@@ -167,6 +172,41 @@ def test_derived_state_is_not_compared_or_shown():
     assert "_zones" in vars(p) and "sets" not in repr(p)
     twin = pickle.loads(pickle.dumps(p))
     assert twin.sets == p.sets and twin._zones == p._zones
+    data = pickle.dumps(builtin_colibri())
+    assert not any(name in data for name in (b"sets", b"_zones", b"_zeros"))
+
+
+def whole_dict_pickle(value, monkeypatch):
+    """A pickle of ``value`` with its whole instance dict as the state, as
+    pickles were made before they held the fields alone."""
+    with monkeypatch.context() as patch:
+        patch.delattr(Value, "__getstate__")
+        return pickle.dumps(value)
+
+
+@pytest.mark.parametrize("layout", ["last piece not held first", "no table"])
+def test_older_pickles_load_as_fresh_partitions(layout, monkeypatch):
+    colibri = builtin_colibri()
+    p = HuePartition(colibri.names, colibri.boundaries)
+    starts, zones = p._zones
+    if layout == "no table":
+        # The table was built on the first lookup, so a fresh partition had none.
+        del vars(p)["_zones"]
+    else:
+        vars(p)["_zones"] = (starts, zones[1:])
+    data = whole_dict_pickle(p, monkeypatch)
+    assert b"_zeros" in data
+    twin = pickle.loads(data)
+    assert twin == colibri and twin._zones == colibri._zones
+    for hue in (i / 10.0 for i in range(3600)):
+        assert twin.memberships(hue) == colibri.memberships(hue), hue
+
+
+def forged(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` without passing __init__."""
+    value = cls.__new__(cls)
+    vars(value).update(fields)
+    return value
 
 
 def test_keyword_construction_with_defaults():
@@ -220,6 +260,20 @@ def test_types_differ_even_with_equal_fields():
         (lambda: PlotConfig(width_px=math.nan), ValueError, r"width_px must be an integer in \[200, 100000\], got nan"),
         (lambda: PlotConfig(sample_step=0.0, alpha_line=2.0), ValueError, r"sample_step must be in \[0.01, 5\]"),
         (lambda: PlotConfig(alpha_line=math.nan), ValueError, r"alpha_line must be in \(0, 1\], got nan"),
+        # Loading a pickle runs __init__ on its fields.
+        pytest.param(
+            lambda: pickle.loads(pickle.dumps(forged(BoundarySpec, position=10.0, width=math.nan))),
+            ValueError, r"transition width must be in \(0, 360\), got nan",
+            id="pickled-BoundarySpec-nan-width",
+        ),
+        pytest.param(
+            lambda: pickle.loads(pickle.dumps(forged(
+                HuePartition, names=("a", "b", "c"),
+                boundaries=(BoundarySpec(10.0, 4.0), BoundarySpec(13.0, 6.0), BoundarySpec(200.0, 10.0)),
+            ))),
+            InconsistentCoreError, "around category 'b' overlap",
+            id="pickled-HuePartition-overlapping-zones",
+        ),
         (lambda: HsvColor(1.0, 2.0), TypeError, "value"),
         (lambda: Check("x", True, 0.0), TypeError, "hue"),
     ],
